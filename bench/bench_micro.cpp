@@ -5,8 +5,9 @@
 //
 // After the google-benchmark run, main() prints one machine-readable
 // `BENCH {...}` JSON line per supported ISA level for the headline tiling
-// workload (3x3, C = K = 256, 16x16 output); CI's perf-smoke job and the
-// committed BENCH_pressedconv.json baseline both come from these lines.
+// workload (3x3, C = K = 256, 16x16 output) and for VGG conv1.1's narrow
+// folded-window shape; CI's perf-smoke job and the committed
+// BENCH_pressedconv.json baseline both come from these lines.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -207,24 +208,27 @@ BENCHMARK(BM_FlightEventDisarmed);
 BENCHMARK(BM_CounterAdd);
 BENCHMARK(BM_HistogramRecord);
 
-// One `BENCH {...}` line per supported ISA level for the headline tiling
-// workload — the machine-readable feed for CI's perf-smoke assertion and
-// for regenerating BENCH_pressedconv.json.
-void emit_tiling_bench_json() {
-  constexpr std::int64_t kC = 256, kK = 256, kKernel = 3, kIn = 18;
+// One `BENCH {"bench":<bench>,...}` line per supported ISA level for one
+// 3x3 conv shape (padded input in x in x c, K filters): filter-major vs
+// register-tiled, with the tiled timing under `<tiled_field>_ms` — the
+// machine-readable feed for CI's perf-smoke assertion and for regenerating
+// BENCH_pressedconv.json.
+void emit_conv_bench_json(const char* bench, const char* tiled_field, std::int64_t in,
+                          std::int64_t c, std::int64_t k) {
+  constexpr std::int64_t kKernel = 3;
   for (simd::IsaLevel isa : simd::supported_isa_levels()) {
-    const bench::TiledConvResult r = bench::measure_tiled_conv(isa, kIn, kIn, kC, kK, kKernel);
+    const bench::TiledConvResult r = bench::measure_tiled_conv(isa, in, in, c, k, kKernel);
     std::printf(
-        "BENCH {\"bench\":\"pressedconv_tiled\",\"isa\":\"%s\",\"tile\":%lld,"
+        "BENCH {\"bench\":\"%s\",\"isa\":\"%s\",\"tile\":%lld,"
         "\"kh\":%lld,\"kw\":%lld,\"c\":%lld,\"k\":%lld,\"out_h\":%lld,\"out_w\":%lld,"
-        "\"untiled_ms\":%.4f,\"tiled_ms\":%.4f,\"untiled_gops\":%.2f,\"tiled_gops\":%.2f,"
+        "\"untiled_ms\":%.4f,\"%s_ms\":%.4f,\"untiled_gops\":%.2f,\"%s_gops\":%.2f,"
         "\"speedup\":%.3f}\n",
-        std::string(simd::isa_name(isa)).c_str(), static_cast<long long>(r.tile),
+        bench, std::string(simd::isa_name(isa)).c_str(), static_cast<long long>(r.tile),
         static_cast<long long>(kKernel), static_cast<long long>(kKernel),
-        static_cast<long long>(kC), static_cast<long long>(kK),
-        static_cast<long long>(kIn - kKernel + 1), static_cast<long long>(kIn - kKernel + 1),
-        r.untiled_seconds * 1e3, r.tiled_seconds * 1e3, r.untiled_gops(), r.tiled_gops(),
-        r.speedup());
+        static_cast<long long>(c), static_cast<long long>(k),
+        static_cast<long long>(in - kKernel + 1), static_cast<long long>(in - kKernel + 1),
+        r.untiled_seconds * 1e3, tiled_field, r.tiled_seconds * 1e3, r.untiled_gops(),
+        tiled_field, r.tiled_gops(), r.speedup());
   }
   std::fflush(stdout);
 }
@@ -442,7 +446,12 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  emit_tiling_bench_json();
+  // Headline tiling workload: 3x3, C = K = 256, 16x16 output.
+  emit_conv_bench_json("pressedconv_tiled", "tiled", 18, 256, 256);
+  // VGG conv1.1's narrow shape (C = 3, K = 64, 224x224 output): its 27
+  // window bits fold into one word, so the tiled kernel runs the folded
+  // loop while the filter-major one walks nine mostly-empty words per filter.
+  emit_conv_bench_json("pressedconv_folded", "folded", 226, 3, 64);
   emit_telemetry_bench_json();
   emit_cancel_bench_json();
   return 0;

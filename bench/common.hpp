@@ -208,11 +208,12 @@ struct TiledConvResult {
 inline TiledConvResult measure_tiled_conv(simd::IsaLevel isa, std::int64_t h, std::int64_t w,
                                           std::int64_t c, std::int64_t k, std::int64_t kernel,
                                           std::uint64_t seed = 71) {
-  std::mt19937_64 rng(seed);
+  // Zero channel tails, as every library producer leaves them: the folded
+  // window gather of narrow layers relies on it.
   PackedTensor in(h, w, c);
-  for (std::int64_t i = 0; i < in.num_words(); ++i) in.words()[i] = rng();
+  fill_random_bits(in, seed);
   PackedFilterBank filters(k, kernel, kernel, c);
-  for (std::int64_t i = 0; i < k * filters.words_per_filter(); ++i) filters.words()[i] = rng();
+  fill_random_bits(filters, seed + 1);
   const TiledFilterBank tiled = bitpack::tile_filters(filters, kernels::weight_tile_width(isa));
   const kernels::ConvSpec spec{kernel, kernel, 1};
   const std::int64_t oh = h - kernel + 1;

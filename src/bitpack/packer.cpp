@@ -301,9 +301,24 @@ TiledBitMatrix tile_rows(const std::uint64_t* src, std::int64_t rows, std::int64
 }  // namespace
 
 TiledFilterBank tile_filters(const PackedFilterBank& filters, std::int64_t tile) {
-  return TiledFilterBank(tile_rows(filters.words(), filters.num_filters(),
-                                   filters.words_per_filter(), tile),
-                         filters.kernel_h(), filters.kernel_w(), filters.channels());
+  const std::int64_t kh = filters.kernel_h(), kw = filters.kernel_w(), c = filters.channels();
+  if (!window_folds(kh, kw, c)) {
+    return TiledFilterBank(
+        tile_rows(filters.words(), filters.num_filters(), filters.words_per_filter(), tile), kh,
+        kw, c);
+  }
+  // Narrow window: concatenate the kh*kw one-word taps of each filter into
+  // one word, tap t's C bits at offset t*C (the mask keeps a dirty tail from
+  // spilling into the next tap).
+  const std::uint64_t mask = (std::uint64_t{1} << c) - 1;
+  std::vector<std::uint64_t> folded(static_cast<std::size_t>(filters.num_filters()));
+  for (std::int64_t k = 0; k < filters.num_filters(); ++k) {
+    const std::uint64_t* taps = filters.filter(k);
+    std::uint64_t word = 0;
+    for (std::int64_t t = 0; t < kh * kw; ++t) word |= (taps[t] & mask) << (t * c);
+    folded[static_cast<std::size_t>(k)] = word;
+  }
+  return TiledFilterBank(tile_rows(folded.data(), filters.num_filters(), 1, tile), kh, kw, c);
 }
 
 TiledBitMatrix tile_fc_weights(const PackedMatrix& w, std::int64_t tile) {

@@ -83,7 +83,9 @@ PackedFilterBank pack_filters(const FilterBank& filters);
 /// Re-lays a packed filter bank into the T-way interleaved register-tile
 /// layout (finalize-time, daBNN-style): full tiles [K/T][fh*fw*PC][T], then
 /// the K%T remainder filters filter-major.  A pure permutation of the bank's
-/// words — same total storage, bit-exact contents.
+/// words — same total storage, bit-exact contents.  A bank whose window
+/// folds (window_folds: several taps, kh*kw*C <= 64) is first folded to one
+/// word per filter, so its tiles are [K/T][T] and it is kh*kw times smaller.
 TiledFilterBank tile_filters(const PackedFilterBank& filters, std::int64_t tile);
 
 /// Same interleave for an FC weight matrix (rows = output neurons): the

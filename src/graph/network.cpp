@@ -51,7 +51,8 @@ struct Stage {
 
   // Register-tiled layers hold only the interleaved weights + tiled kernels;
   // filter-major layers only the untiled set (finalize never keeps both —
-  // the interleave is a permutation, so weight bytes are unchanged).
+  // the interleave is a permutation, so weight bytes are unchanged, except
+  // that narrow banks fold to one word per filter).
   bool tiled = false;
 
   // conv
@@ -482,7 +483,6 @@ void BinaryNetwork::finalize(TensorDesc input) {
         } else {
           PackedFilterBank bank =
               l.prepacked ? std::move(l.conv_packed) : bitpack::pack_filters(l.conv_weights);
-          im.weight_bytes += bank.num_filters() * bank.words_per_filter() * 8;
           tune::LayerWorkload wl;
           wl.kind = 0;
           wl.isa = info.isa;
@@ -516,7 +516,10 @@ void BinaryNetwork::finalize(TensorDesc input) {
                 kernels::conv_dot_tiled_batch_kernel(info.isa, wl.vpopcnt, dec.tile);
             info.layout = kernels::WeightLayout::kInterleaved;
             info.tile = dec.tile;
+            info.folded_window = s.filters_tiled.folded();
+            im.weight_bytes += s.filters_tiled.rows().num_words() * 8;
           } else {
+            im.weight_bytes += bank.num_filters() * bank.words_per_filter() * 8;
             s.filters = std::move(bank);
             s.conv_bin = kernels::conv_binarize_batch_kernel(info.isa, wl.vpopcnt);
             s.conv_dot = kernels::conv_dot_batch_kernel(info.isa, wl.vpopcnt);
@@ -673,12 +676,14 @@ void BinaryNetwork::finalize(TensorDesc input) {
     if (!s.full_precision) {
       kernel += '[';
       kernel += simd::isa_name(s.isa);
-      // Surface the committed plan: ",t8" = register-tile width, ",g18" =
-      // parallel grain (omitted at the pixel-level default of 1).
+      // Surface the committed plan: ",t8" = register-tile width, ",fold" =
+      // folded-window bank, ",g18" = parallel grain (omitted at the
+      // pixel-level default of 1).
       if (s.tiled) {
         kernel += ",t";
         kernel += std::to_string(info.tile);
       }
+      if (info.folded_window) kernel += ",fold";
       if (s.kind == LayerKind::kConv && s.conv_spec.par_grain > 1) {
         kernel += ",g";
         kernel += std::to_string(s.conv_spec.par_grain);

@@ -83,6 +83,11 @@ struct LayerInfo {
   /// heuristic (weight_tile_width / grain 1).
   std::int64_t tile = 0;
   std::int64_t par_grain = 1;
+  /// The tiled conv bank is folded (window_folds: a multi-tap
+  /// window of <= 64 bits, e.g. VGG conv1.1): each filter is one word and
+  /// each output pixel one gathered window word.  Shown as ",fold" in the
+  /// profile's kernel string.
+  bool folded_window = false;
   /// Provenance of the plan: "default" (static heuristic), "search"
   /// (measured at this finalize) or "cache" (loaded from the tuning cache).
   std::string tune_source = "default";
@@ -284,7 +289,8 @@ class BinaryNetwork {
   [[nodiscard]] TensorDesc input_desc() const;
   [[nodiscard]] std::int64_t output_size() const;
   [[nodiscard]] int num_threads() const noexcept;
-  /// Total bytes of packed weights (the 32x model-size story of Table V).
+  /// Total bytes of packed weights as stored (the 32x model-size story of
+  /// Table V; folded-window banks store kh*kw times fewer).
   [[nodiscard]] std::int64_t packed_weight_bytes() const;
   /// Per-layer wall-clock of the most recent infer() (profile mode only;
   /// index matches layers(); one extra leading entry is the input pack).

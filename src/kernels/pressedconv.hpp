@@ -67,7 +67,10 @@ using ConvBinarizeBatchFn = void (*)(const PackedTensor* const* in, std::int64_t
 /// contract as ConvDotBatchFn, but the filters are a register-tile bank
 /// produced by bitpack::tile_filters with tile = weight_tile_width(isa).
 /// Bit-exact with the filter-major kernels; throws std::invalid_argument if
-/// the bank's tile width does not match the kernel's.
+/// the bank's tile width does not match the kernel's.  A folded bank
+/// (TiledFilterBank::folded(), narrow windows such as VGG conv1.1) runs the
+/// folded-window loop: one gathered window word and one xor+popcount per
+/// filter.
 using ConvDotTiledBatchFn = void (*)(const PackedTensor* const* in, std::int64_t n,
                                      const TiledFilterBank& filters, const ConvSpec& spec,
                                      runtime::ThreadPool& pool, Tensor* const* out);

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 
@@ -259,6 +260,159 @@ void conv_binarize_impl(const PackedTensor& in, const PackedFilterBank& filters,
   conv_binarize_batch_impl<Ops>(&in_ptr, 1, filters, spec, thresholds, pool, &out_ptr, margin);
 }
 
+// --- folded-window variants (narrow layers, bank.folded()) -------------------
+//
+// When the whole kh*kw*C window fits one word (VGG conv1.1: 27 bits), the
+// tiled bank holds one folded word per filter (bitpack::tile_filters), so
+// its interleaved [w][lane] layout is plain filter order and tile_block(t)
+// is T consecutive filter words.  Each output pixel gathers its window into
+// the same bit layout straight from the padded input, then one
+// accumulate() per tile yields T complete popcounts — one xor+popcount per
+// filter instead of kh*kw over words that are mostly zero padding.
+//
+// Bit-exact with the unfolded kernels: the folded operands hold exactly the
+// same valid bits, and the zero channel tails that the unfolded words carry
+// contribute nothing to either popcount.
+
+/// Gathers the kh x kw window at `window` (one word per pixel, row pitch
+/// `in_w` words) into one word, tap t's C bits at offset t*C.  Relies on the
+/// zero-tail invariant of packed activations: a pixel word holds no bits
+/// at or above C, so shift + or places it without a mask.
+inline std::uint64_t gather_window(const std::uint64_t* window, std::int64_t kh,
+                                   std::int64_t kw, std::int64_t in_w, std::int64_t c) noexcept {
+  std::uint64_t a = 0;
+  std::int64_t off = 0;
+  for (std::int64_t i = 0; i < kh; ++i) {
+    const std::uint64_t* row = window + i * in_w;
+    for (std::int64_t j = 0; j < kw; ++j, off += c) a |= row[j] << off;
+  }
+  return a;
+}
+
+/// The binarize test `float(bits - 2*pops) >= th` as an integer bound on
+/// pops: since bits - 2*pops is an exact integer, it holds iff
+/// pops <= floor((bits - ceil(th)) / 2).  Clamped to [-1, bits]: -1 never
+/// passes (NaN, +inf, th > bits), `bits` always does (-inf, th <= -bits).
+/// A null threshold array means th = 0.
+inline std::int64_t popcount_bound(std::int64_t bits, const float* thresholds,
+                                   std::int64_t k) noexcept {
+  if (thresholds == nullptr) return bits / 2;
+  const float th = thresholds[k];
+  if (std::isnan(th)) return -1;
+  const double b =
+      std::floor((static_cast<double>(bits) - std::ceil(static_cast<double>(th))) / 2.0);
+  return static_cast<std::int64_t>(std::clamp(b, -1.0, static_cast<double>(bits)));
+}
+
+template <typename Tile>
+void conv_dot_folded_batch(const PackedTensor* const* in, std::int64_t n,
+                           const TiledFilterBank& filters, const ConvSpec& spec,
+                           runtime::ThreadPool& pool, Tensor* const* out) {
+  constexpr std::int64_t kT = Tile::kWidth;
+  const std::int64_t out_h = spec.out_h(in[0]->height());
+  const std::int64_t out_w = spec.out_w(in[0]->width());
+  const std::int64_t pixels = out_h * out_w;
+  const std::int64_t kh = filters.kernel_h(), kw = filters.kernel_w(), c = filters.channels();
+  const std::int64_t bits = filters.bits_per_filter();
+  const std::int64_t num_k = filters.num_filters();
+  const std::int64_t in_w = in[0]->width();
+  const std::int64_t stride = spec.stride;
+  const TiledBitMatrix& bank = filters.rows();
+  const std::int64_t full_tiles = bank.full_tiles();
+
+  pool.parallel_for(n * pixels, spec.par_grain, [&](runtime::Range r, int) {
+    for (std::int64_t idx = r.begin; idx < r.end; ++idx) {
+      const std::int64_t img = idx / pixels;
+      const std::int64_t pix = idx - img * pixels;
+      const std::int64_t y = pix / out_w;
+      const std::int64_t x = pix % out_w;
+      const std::uint64_t a =
+          gather_window(in[img]->words() + (y * stride) * in_w + x * stride, kh, kw, in_w, c);
+      float* out_px = out[img]->data() + pix * num_k;
+      for (std::int64_t t = 0; t < full_tiles; ++t) {
+        Tile acc{};
+        acc.accumulate(a, bank.tile_block(t));
+        std::uint64_t pops[kT];
+        acc.reduce(pops);
+        float* out_t = out_px + t * kT;
+        for (std::int64_t l = 0; l < kT; ++l) {
+          out_t[l] = static_cast<float>(bits - 2 * static_cast<std::int64_t>(pops[l]));
+        }
+      }
+      for (std::int64_t k = full_tiles * kT; k < num_k; ++k) {
+        const std::int64_t pops =
+            __builtin_popcountll(a ^ bank.remainder_row(k - full_tiles * kT)[0]);
+        out_px[k] = static_cast<float>(bits - 2 * pops);
+      }
+    }
+  });
+}
+
+template <typename Tile>
+void conv_binarize_folded_batch(const PackedTensor* const* in, std::int64_t n,
+                                const TiledFilterBank& filters, const ConvSpec& spec,
+                                const float* thresholds, runtime::ThreadPool& pool,
+                                PackedTensor* const* out, std::int64_t margin) {
+  constexpr std::int64_t kT = Tile::kWidth;
+  const std::int64_t out_h = spec.out_h(in[0]->height());
+  const std::int64_t out_w = spec.out_w(in[0]->width());
+  const std::int64_t pixels = out_h * out_w;
+  const std::int64_t kh = filters.kernel_h(), kw = filters.kernel_w(), c = filters.channels();
+  const std::int64_t bits = filters.bits_per_filter();
+  const std::int64_t num_k = filters.num_filters();
+  const std::int64_t in_w = in[0]->width();
+  const std::int64_t stride = spec.stride;
+  const TiledBitMatrix& bank = filters.rows();
+  const std::int64_t tiled_rows = bank.tiled_rows();
+
+  pool.parallel_for(n * pixels, spec.par_grain, [&](runtime::Range r, int) {
+    // One 64-filter output word at a time, so the chunk's integer bounds
+    // for that word sit on the stack.  kT divides 64: a block's filters are
+    // whole tiles [t_begin, t_end) followed by (last block only) the K % kT
+    // remainder rows.
+    for (std::int64_t k0 = 0; k0 < num_k; k0 += 64) {
+      const std::int64_t k_end = std::min<std::int64_t>(k0 + 64, num_k);
+      std::int64_t bound[64];
+      for (std::int64_t k = k0; k < k_end; ++k) {
+        bound[k - k0] = popcount_bound(bits, thresholds, k);
+      }
+      const std::int64_t t_begin = k0 / kT;
+      const std::int64_t t_end = std::min(k_end, tiled_rows) / kT;
+      const std::int64_t rem_begin = std::max(k0, tiled_rows);
+      for (std::int64_t idx = r.begin; idx < r.end; ++idx) {
+        const std::int64_t img = idx / pixels;
+        const std::int64_t pix = idx - img * pixels;
+        const std::int64_t y = pix / out_w;
+        const std::int64_t x = pix % out_w;
+        const std::uint64_t a =
+            gather_window(in[img]->words() + (y * stride) * in_w + x * stride, kh, kw, in_w, c);
+        std::uint64_t packed = 0;
+        for (std::int64_t t = t_begin; t < t_end; ++t) {
+          Tile acc{};
+          acc.accumulate(a, bank.tile_block(t));
+          std::uint64_t pops[kT];
+          acc.reduce(pops);
+          // Lane bits at constant offsets, then one shift into place.
+          const std::int64_t b0 = t * kT - k0;
+          std::uint64_t lanes = 0;
+          for (std::int64_t l = 0; l < kT; ++l) {
+            lanes |= static_cast<std::uint64_t>(static_cast<std::int64_t>(pops[l]) <=
+                                                bound[b0 + l])
+                     << l;
+          }
+          packed |= lanes << b0;
+        }
+        for (std::int64_t k = rem_begin; k < k_end; ++k) {
+          const std::int64_t pops =
+              __builtin_popcountll(a ^ bank.remainder_row(k - tiled_rows)[0]);
+          packed |= static_cast<std::uint64_t>(pops <= bound[k - k0]) << (k - k0);
+        }
+        out[img]->pixel(y + margin, x + margin)[k0 / 64] = packed;
+      }
+    }
+  });
+}
+
 // --- register-tiled variants over the interleaved weight layout --------------
 //
 // Activation-stationary dataflow (YFlows): the filter loop is tiled by
@@ -280,6 +434,10 @@ void conv_dot_tiled_batch_impl(const PackedTensor* const* in, std::int64_t n,
   constexpr std::int64_t kT = Tile::kWidth;
   if (filters.tile() != kT) {
     throw std::invalid_argument("PressedConv tiled: bank tile width does not match kernel");
+  }
+  if (filters.folded()) {
+    conv_dot_folded_batch<Tile>(in, n, filters, spec, pool, out);
+    return;
   }
   const std::int64_t out_h = spec.out_h(in[0]->height());
   const std::int64_t out_w = spec.out_w(in[0]->width());
@@ -342,6 +500,10 @@ void conv_binarize_tiled_batch_impl(const PackedTensor* const* in, std::int64_t 
   static_assert(64 % Tile::kWidth == 0, "filter tiles must not straddle output words");
   if (filters.tile() != kT) {
     throw std::invalid_argument("PressedConv tiled: bank tile width does not match kernel");
+  }
+  if (filters.folded()) {
+    conv_binarize_folded_batch<Tile>(in, n, filters, spec, thresholds, pool, out, margin);
+    return;
   }
   const std::int64_t out_h = spec.out_h(in[0]->height());
   const std::int64_t out_w = spec.out_w(in[0]->width());

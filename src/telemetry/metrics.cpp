@@ -30,6 +30,12 @@ Histogram::Histogram(Histogram&& other) noexcept
       sum_(other.sum_.load(std::memory_order_relaxed)),
       count_(other.count_.load(std::memory_order_relaxed)) {}
 
+void Histogram::reset() noexcept {
+  for (std::size_t i = 0; i < n_buckets_; ++i) buckets_[i].store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
+  count_.store(0, std::memory_order_relaxed);
+}
+
 std::uint64_t Histogram::bucket_upper(std::size_t i) const noexcept {
   if (bucketing_ == Bucketing::kLinear) {
     return i + 1 < n_buckets_ ? static_cast<std::uint64_t>(i) : UINT64_MAX;

@@ -112,6 +112,10 @@ class Histogram {
   /// bucket and the linear overflow bucket).
   [[nodiscard]] std::uint64_t bucket_upper(std::size_t i) const noexcept;
 
+  /// Zeroes every bucket, the sum and the count.  Not atomic with
+  /// concurrent record(); callers quiesce writers first.
+  void reset() noexcept;
+
   [[nodiscard]] std::size_t num_buckets() const noexcept { return n_buckets_; }
   [[nodiscard]] bool is_log2() const noexcept { return bucketing_ == Bucketing::kLog2; }
 

@@ -56,6 +56,7 @@ class SpanStats {
     units_.store(0, std::memory_order_relaxed);
     total_ns_.store(0, std::memory_order_relaxed);
     min_ns_.store(UINT64_MAX, std::memory_order_relaxed);
+    hist_.reset();
   }
 
   struct View {
@@ -91,7 +92,7 @@ class SpanStats {
   std::atomic<std::uint64_t> units_{0};
   std::atomic<std::uint64_t> total_ns_{0};
   std::atomic<std::uint64_t> min_ns_{UINT64_MAX};
-  Histogram hist_;  // log2 ns buckets; reset() leaves it cumulative
+  Histogram hist_;  // log2 ns buckets
 };
 
 /// Measured compute roof for binary kernels at `isa`: xor+popcount GOPS over

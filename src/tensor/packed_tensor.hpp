@@ -269,17 +269,29 @@ class TiledBitMatrix {
   AlignedBuffer buffer_;
 };
 
+/// True when a kh x kw x C filter window spans several taps but fits one
+/// 64-bit word (e.g. VGG conv1.1: 3x3x3 = 27 bits).  Such banks are stored
+/// *folded*: one word per filter, tap t = i*kw + j holding its C channel bits
+/// at bit offset t*C, so a dot product is one xor+popcount instead of kh*kw
+/// mostly-empty ones.
+[[nodiscard]] constexpr bool window_folds(std::int64_t kh, std::int64_t kw,
+                                          std::int64_t c) noexcept {
+  return c >= 1 && kh * kw > 1 && kh * kw * c <= 64;
+}
+
 /// Interleaved counterpart of PackedFilterBank: each logical row of the
 /// underlying TiledBitMatrix is one filter's kh*kw*pc packed words, grouped
 /// into tiles of T filters (produced once at finalize by
 /// bitpack::tile_filters, consumed by the register-tiled PressedConv).
+/// When window_folds(kh, kw, c) the bank is folded instead: each row is the
+/// filter's single folded window word (see window_folds).
 class TiledFilterBank {
  public:
   TiledFilterBank() = default;
 
   TiledFilterBank(TiledBitMatrix rows, std::int64_t kh, std::int64_t kw, std::int64_t c)
       : rows_(std::move(rows)), kh_(kh), kw_(kw), c_(c), pc_(words_for_channels(c)) {
-    BF_CHECK(rows_.row_words() == kh_ * kw_ * pc_, "TiledFilterBank: ", rows_.row_words(),
+    BF_CHECK(rows_.row_words() == words_per_filter(), "TiledFilterBank: ", rows_.row_words(),
              " words per filter for ", kh_, "x", kw_, "x", c_);
   }
 
@@ -288,10 +300,15 @@ class TiledFilterBank {
   [[nodiscard]] std::int64_t kernel_w() const noexcept { return kw_; }
   [[nodiscard]] std::int64_t channels() const noexcept { return c_; }
   [[nodiscard]] std::int64_t words_per_pixel() const noexcept { return pc_; }
-  [[nodiscard]] std::int64_t words_per_filter() const noexcept { return kh_ * kw_ * pc_; }
+  /// Stored words per filter: 1 when folded, kh*kw*pc otherwise.
+  [[nodiscard]] std::int64_t words_per_filter() const noexcept {
+    return folded() ? 1 : kh_ * kw_ * pc_;
+  }
   /// Valid bits per filter: the N of Eq. 1.
   [[nodiscard]] std::int64_t bits_per_filter() const noexcept { return kh_ * kw_ * c_; }
   [[nodiscard]] std::int64_t tile() const noexcept { return rows_.tile(); }
+  /// One folded window word per filter (see window_folds).
+  [[nodiscard]] bool folded() const noexcept { return window_folds(kh_, kw_, c_); }
 
   [[nodiscard]] const TiledBitMatrix& rows() const noexcept { return rows_; }
   [[nodiscard]] TiledBitMatrix& rows() noexcept { return rows_; }

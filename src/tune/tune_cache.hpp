@@ -34,7 +34,10 @@ namespace bitflow::tune {
 /// Bump whenever the candidate space, measurement method or Decision
 /// semantics change: entries written under any other schema are ignored
 /// wholesale (silent re-search, never a stale plan).
-inline constexpr std::uint32_t kCacheSchemaVersion = 1;
+///   1: initial search space.
+///   2: tiled candidates of narrow layers run the folded-window kernel, so
+///      a schema-1 "untiled" verdict for e.g. VGG conv1.1 is stale.
+inline constexpr std::uint32_t kCacheSchemaVersion = 2;
 
 /// Hard ceiling on a cache file's size; anything larger is treated as
 /// corrupt.  At 96 bytes per entry this bounds the cache to ~10k layers,

@@ -8,7 +8,9 @@
 // stride/margin combinations, tiny spatial extents, and one large-H*W case.
 // Failures name the kernel, the variant, and the full shape so a divergence
 // on exotic hardware is reproducible from the log alone.
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -447,6 +449,14 @@ TEST(IsaParity, TileFiltersIsAPermutation) {
     for (std::int64_t tile : {4, 8}) {
       const TiledFilterBank tiled = bitpack::tile_filters(filters, tile);
       ASSERT_EQ(tiled.num_filters(), s.k);
+      if (window_folds(s.kernel, s.kernel, s.c)) {
+        // Narrow windows fold to one word per filter instead (checked bit
+        // by bit in FoldedBankConcatenatesTapsAndOnlyNarrowWindowsFold).
+        ASSERT_TRUE(tiled.folded()) << describe(s);
+        ASSERT_EQ(tiled.rows().num_words(), s.k);
+        continue;
+      }
+      ASSERT_FALSE(tiled.folded()) << describe(s);
       ASSERT_EQ(tiled.words_per_filter(), filters.words_per_filter());
       ASSERT_EQ(tiled.rows().num_words(), s.k * filters.words_per_filter());
       for (std::int64_t k = 0; k < s.k; ++k) {
@@ -552,6 +562,236 @@ TEST(IsaParity, PressedConvTiledBinarizeMatchesUntiledAllVariants) {
               << "kernel conv_binarize_tiled_batch[" << v.name << "] image " << b
               << " diverges from the filter-major kernel at word " << i << ", shape "
               << describe(s);
+        }
+      }
+    }
+  }
+}
+
+// --- folded-window PressedConv (narrow layers, e.g. VGG conv1.1) -----------
+//
+// When kh*kw*C <= 64 with more than one tap, tile_filters folds each filter
+// into one word and the tiled kernels gather one window word per output
+// pixel.  Every ISA variant and every tile width it stamps must stay
+// bit-exact with the filter-major scalar kernel, for the dot and the fused
+// binarize entry points, including thresholds the integer popcount bound
+// has to get exactly right (NaN, +-inf, huge, integer, non-integer, null).
+
+struct FoldShape {
+  std::int64_t h, w, c, k, kernel, stride, pad, margin;
+};
+
+std::string describe(const FoldShape& s) {
+  return "in " + std::to_string(s.h) + "x" + std::to_string(s.w) + "x" + std::to_string(s.c) +
+         " (+pad " + std::to_string(s.pad) + ") K=" + std::to_string(s.k) + " kernel=" +
+         std::to_string(s.kernel) + " stride=" + std::to_string(s.stride) +
+         " margin=" + std::to_string(s.margin);
+}
+
+std::vector<FoldShape> fold_shapes() {
+  return {
+      {9, 9, 1, 64, 3, 1, 0, 0},     // C = 1: 9 bits, K = 64 exactly one word
+      {8, 7, 2, 70, 3, 1, 1, 1},     // C = 2, K % T != 0 for every T, two words
+      {12, 12, 3, 64, 3, 1, 1, 1},   // VGG conv1.1 shape class (27 bits), pad 1
+      {11, 10, 3, 13, 3, 2, 1, 0},   // stride 2, K % T != 0
+      {7, 9, 7, 130, 3, 1, 1, 2},    // C = 7: 63 bits; K > 64: three output words
+      {9, 10, 2, 33, 5, 1, 0, 0},    // 5x5, C = 2: 50 bits
+      {10, 9, 2, 9, 5, 2, 1, 1},     // 5x5 stride 2
+      {6, 6, 3, 3, 3, 1, 0, 0},      // K = 3 below every tile width
+      {8, 8, 22, 20, 3, 1, 1, 0},    // C = 22: 198 bits, must NOT fold
+  };
+}
+
+/// Random (h, w, c) activations inside a zero border of `pad` pixels: the
+/// buffer a padded conv layer reads.
+PackedTensor padded_random_input(const FoldShape& s, std::uint64_t seed) {
+  PackedTensor interior(s.h, s.w, s.c);
+  fill_random_bits(interior, seed);
+  PackedTensor out(s.h + 2 * s.pad, s.w + 2 * s.pad, s.c);
+  for (std::int64_t y = 0; y < s.h; ++y) {
+    for (std::int64_t x = 0; x < s.w; ++x) {
+      std::copy_n(interior.pixel(y, x), interior.words_per_pixel(),
+                  out.pixel(y + s.pad, x + s.pad));
+    }
+  }
+  return out;
+}
+
+/// Thresholds cycling through the values the integer bound must handle
+/// exactly, then random non-integers across the whole dot range.
+std::vector<float> adversarial_thresholds(std::int64_t k, std::int64_t bits,
+                                          std::uint64_t seed) {
+  const float special[] = {std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity(),
+                           1e30f,
+                           -1e30f,
+                           0.0f,
+                           -0.0f,
+                           1.0f,
+                           -1.0f,
+                           0.5f,
+                           -0.5f,
+                           2.75f,
+                           -3.25f,
+                           static_cast<float>(bits),
+                           static_cast<float>(-bits),
+                           static_cast<float>(bits) + 0.5f,
+                           static_cast<float>(-bits) - 0.5f};
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<float> dist(static_cast<float>(-bits) - 2.0f,
+                                             static_cast<float>(bits) + 2.0f);
+  std::vector<float> th(static_cast<std::size_t>(k));
+  const std::size_t n_special = sizeof special / sizeof special[0];
+  for (std::size_t i = 0; i < th.size(); ++i) {
+    th[i] = i < n_special ? special[i] : dist(rng);
+  }
+  std::shuffle(th.begin(), th.end(), rng);
+  return th;
+}
+
+TEST(IsaParity, FoldedBankConcatenatesTapsAndOnlyNarrowWindowsFold) {
+  EXPECT_TRUE(window_folds(3, 3, 3));
+  EXPECT_TRUE(window_folds(3, 3, 7));    // 63 bits
+  EXPECT_TRUE(window_folds(5, 5, 2));    // 50 bits
+  EXPECT_TRUE(window_folds(2, 2, 16));   // exactly 64 bits
+  EXPECT_FALSE(window_folds(3, 3, 8));   // 72 bits
+  EXPECT_FALSE(window_folds(3, 3, 22));
+  EXPECT_FALSE(window_folds(1, 1, 3));   // one tap: already one word
+  std::uint64_t seed = 15000;
+  for (const FoldShape& s : fold_shapes()) {
+    PackedFilterBank filters(s.k, s.kernel, s.kernel, s.c);
+    fill_random_bits(filters, seed++);
+    const bool folds = window_folds(s.kernel, s.kernel, s.c);
+    EXPECT_EQ(folds, s.c != 22) << describe(s);
+    for (std::int64_t tile : {4, 8, 16}) {
+      const TiledFilterBank tiled = bitpack::tile_filters(filters, tile);
+      ASSERT_EQ(tiled.folded(), folds) << describe(s);
+      if (!folds) continue;
+      ASSERT_EQ(tiled.words_per_filter(), 1);
+      ASSERT_EQ(tiled.rows().num_words(), s.k) << "folded bank must be kh*kw times smaller";
+      for (std::int64_t k = 0; k < s.k; ++k) {
+        for (std::int64_t i = 0; i < s.kernel; ++i) {
+          for (std::int64_t j = 0; j < s.kernel; ++j) {
+            for (std::int64_t c = 0; c < s.c; ++c) {
+              const std::int64_t bit = (i * s.kernel + j) * s.c + c;
+              ASSERT_EQ((tiled.rows().row_word(k, 0) >> bit) & 1u,
+                        filters.get_bit(k, i, j, c) ? 1u : 0u)
+                  << "folded bit (" << i << "," << j << "," << c << ") of filter " << k
+                  << " at tile " << tile << ", shape " << describe(s);
+            }
+          }
+        }
+        // Nothing above the window's bits.
+        const std::int64_t bits = s.kernel * s.kernel * s.c;
+        if (bits < 64) {
+          ASSERT_EQ(tiled.rows().row_word(k, 0) >> bits, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaParity, FoldedConvDotMatchesFilterMajorAllVariantsAndTiles) {
+  runtime::ThreadPool pool(3);
+  const auto variants = simd::supported_isa_variants();
+  std::uint64_t seed = 16000;
+  for (const FoldShape& s : fold_shapes()) {
+    const ConvSpec spec{s.kernel, s.kernel, s.stride};
+    PackedFilterBank filters(s.k, s.kernel, s.kernel, s.c);
+    fill_random_bits(filters, seed++);
+    const std::int64_t n = 2;
+    std::vector<PackedTensor> in;
+    std::vector<const PackedTensor*> in_ptrs;
+    for (std::int64_t b = 0; b < n; ++b) in.push_back(padded_random_input(s, seed++));
+    for (const PackedTensor& t : in) in_ptrs.push_back(&t);
+    const std::int64_t oh = spec.out_h(in[0].height()), ow = spec.out_w(in[0].width());
+
+    std::vector<Tensor> ref;
+    std::vector<Tensor*> ref_ptrs;
+    for (std::int64_t b = 0; b < n; ++b) ref.push_back(Tensor::hwc(oh, ow, s.k));
+    for (Tensor& t : ref) ref_ptrs.push_back(&t);
+    kernels::conv_dot_batch_kernel(IsaLevel::kU64, false)(in_ptrs.data(), n, filters, spec, pool,
+                                                          ref_ptrs.data());
+    ASSERT_EQ(max_abs_diff(ref[0], testing::reference_binary_conv(in[0], filters, spec)), 0.0f)
+        << "kernel conv_dot_batch[u64] vs naive reference, shape " << describe(s);
+
+    for (const IsaVariant& v : variants) {
+      const kernels::TileWidthSet widths = kernels::supported_tile_widths(v.isa);
+      for (std::int64_t i = 0; i < widths.count; ++i) {
+        const std::int64_t tile = widths.widths[static_cast<std::size_t>(i)];
+        const TiledFilterBank tiled = bitpack::tile_filters(filters, tile);
+        std::vector<Tensor> out;
+        std::vector<Tensor*> out_ptrs;
+        for (std::int64_t b = 0; b < n; ++b) out.push_back(Tensor::hwc(oh, ow, s.k));
+        for (Tensor& t : out) out_ptrs.push_back(&t);
+        kernels::conv_dot_tiled_batch_kernel(v.isa, v.use_vpopcntdq, tile)(
+            in_ptrs.data(), n, tiled, spec, pool, out_ptrs.data());
+        for (std::int64_t b = 0; b < n; ++b) {
+          ASSERT_EQ(max_abs_diff(out[static_cast<std::size_t>(b)],
+                                 ref[static_cast<std::size_t>(b)]),
+                    0.0f)
+              << "kernel conv_dot_tiled_batch[" << v.name << ",t" << tile
+              << (tiled.folded() ? ",fold" : "") << "] image " << b
+              << " diverges from the filter-major u64 kernel, shape " << describe(s);
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaParity, FoldedConvBinarizeMatchesFilterMajorAllVariantsAndTiles) {
+  runtime::ThreadPool pool(3);
+  const auto variants = simd::supported_isa_variants();
+  std::uint64_t seed = 17000;
+  for (const FoldShape& s : fold_shapes()) {
+    const ConvSpec spec{s.kernel, s.kernel, s.stride};
+    PackedFilterBank filters(s.k, s.kernel, s.kernel, s.c);
+    fill_random_bits(filters, seed++);
+    const std::int64_t n = 2;
+    std::vector<PackedTensor> in;
+    std::vector<const PackedTensor*> in_ptrs;
+    for (std::int64_t b = 0; b < n; ++b) in.push_back(padded_random_input(s, seed++));
+    for (const PackedTensor& t : in) in_ptrs.push_back(&t);
+    const std::int64_t oh = spec.out_h(in[0].height()), ow = spec.out_w(in[0].width());
+    const std::vector<float> adversarial =
+        adversarial_thresholds(s.k, s.kernel * s.kernel * s.c, seed++);
+
+    for (const float* thresholds : {adversarial.data(), static_cast<const float*>(nullptr)}) {
+      const std::string th_name = thresholds != nullptr ? "adversarial" : "null";
+      auto make_outputs = [&](std::vector<PackedTensor>& t, std::vector<PackedTensor*>& p) {
+        for (std::int64_t b = 0; b < n; ++b) {
+          t.emplace_back(oh + 2 * s.margin, ow + 2 * s.margin, s.k);
+        }
+        for (PackedTensor& x : t) p.push_back(&x);
+      };
+      std::vector<PackedTensor> ref;
+      std::vector<PackedTensor*> ref_ptrs;
+      make_outputs(ref, ref_ptrs);
+      kernels::conv_binarize_batch_kernel(IsaLevel::kU64, false)(
+          in_ptrs.data(), n, filters, spec, thresholds, pool, ref_ptrs.data(), s.margin);
+      for (const IsaVariant& v : variants) {
+        const kernels::TileWidthSet widths = kernels::supported_tile_widths(v.isa);
+        for (std::int64_t i = 0; i < widths.count; ++i) {
+          const std::int64_t tile = widths.widths[static_cast<std::size_t>(i)];
+          const TiledFilterBank tiled = bitpack::tile_filters(filters, tile);
+          std::vector<PackedTensor> out;
+          std::vector<PackedTensor*> out_ptrs;
+          make_outputs(out, out_ptrs);
+          kernels::conv_binarize_tiled_batch_kernel(v.isa, v.use_vpopcntdq, tile)(
+              in_ptrs.data(), n, tiled, spec, thresholds, pool, out_ptrs.data(), s.margin);
+          // Whole-buffer compare: payload bits, zero tails and margin.
+          for (std::int64_t b = 0; b < n; ++b) {
+            const PackedTensor& o = out[static_cast<std::size_t>(b)];
+            const PackedTensor& r = ref[static_cast<std::size_t>(b)];
+            for (std::int64_t w = 0; w < r.num_words(); ++w) {
+              ASSERT_EQ(o.words()[w], r.words()[w])
+                  << "kernel conv_binarize_tiled_batch[" << v.name << ",t" << tile
+                  << (tiled.folded() ? ",fold" : "") << "] image " << b << " word " << w
+                  << " diverges from the filter-major u64 kernel, " << th_name
+                  << " thresholds, shape " << describe(s);
+            }
+          }
         }
       }
     }

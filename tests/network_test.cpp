@@ -454,6 +454,69 @@ TEST(BinaryNetwork, TiledAndUntiledNetworksBitExact) {
   }
 }
 
+/// conv(C = 3 -> 64, pad 1) -> pool -> conv(64 -> 20, pad 1) -> fc: a VGG
+/// front whose first conv folds its 3x3x3 = 27-bit window into one word.
+BinaryNetwork make_narrow_first_net(NetworkConfig cfg) {
+  BinaryNetwork net(cfg);
+  net.add_conv("c1", random_filters(64, 3, 31), 1, 1);
+  net.add_maxpool("p1", kernels::PoolSpec{2, 2, 2});
+  net.add_conv("c2", random_filters(20, 64, 32), 1, 1);
+  net.add_fc("f1", models::random_fc_weights(8 * 8 * 20, 10, 33), 8 * 8 * 20, 10);
+  net.finalize(TensorDesc{16, 16, 3});
+  return net;
+}
+
+TEST(BinaryNetwork, FoldedFirstLayerBitExactAgainstU64AndUntiled) {
+  NetworkConfig folded_cfg, u64_cfg, plain_cfg;
+  folded_cfg.num_threads = u64_cfg.num_threads = plain_cfg.num_threads = 3;
+  folded_cfg.profile = true;
+  u64_cfg.max_isa = simd::IsaLevel::kU64;
+  plain_cfg.tile_weights = false;
+  BinaryNetwork folded = make_narrow_first_net(folded_cfg);
+  BinaryNetwork u64 = make_narrow_first_net(u64_cfg);
+  BinaryNetwork plain = make_narrow_first_net(plain_cfg);
+
+  EXPECT_TRUE(folded.layers()[0].folded_window);
+  EXPECT_TRUE(u64.layers()[0].folded_window);
+  EXPECT_FALSE(plain.layers()[0].folded_window);  // untiled layers never fold
+  EXPECT_FALSE(folded.layers()[2].folded_window);  // C = 64: 576 bits
+  // The folded conv1 stores one word per filter instead of nine.
+  EXPECT_EQ(plain.packed_weight_bytes() - folded.packed_weight_bytes(), 64 * (9 - 1) * 8);
+
+  InferenceContext folded_ctx = folded.make_context(16);
+  InferenceContext u64_ctx = u64.make_context(16);
+  InferenceContext plain_ctx = plain.make_context(16);
+  for (std::int64_t n : {1, 2, 7, 16}) {
+    std::vector<Tensor> inputs;
+    std::vector<const Tensor*> ptrs;
+    for (std::int64_t b = 0; b < n; ++b) {
+      Tensor t = Tensor::hwc(16, 16, 3);
+      fill_uniform(t, 8100 + static_cast<std::uint64_t>(n * 17 + b));
+      inputs.push_back(std::move(t));
+    }
+    for (const Tensor& t : inputs) ptrs.push_back(&t);
+    const auto sf = folded.infer_batch(ptrs, folded_ctx);
+    const std::vector<float> scores(sf.begin(), sf.end());
+    const auto su = u64.infer_batch(ptrs, u64_ctx);
+    const std::vector<float> u64_scores(su.begin(), su.end());
+    const auto sp = plain.infer_batch(ptrs, plain_ctx);
+    ASSERT_EQ(scores.size(), sp.size());
+    ASSERT_EQ(scores.size(), u64_scores.size());
+    for (std::size_t i = 0; i < sp.size(); ++i) {
+      ASSERT_EQ(scores[i], u64_scores[i]) << "vs max_isa=u64 at score " << i << " (n=" << n << ")";
+      ASSERT_EQ(scores[i], sp[i]) << "vs tile_weights=false at score " << i << " (n=" << n << ")";
+    }
+  }
+
+  // The profile names the plan that ran: ",fold" on conv1 only.  GOPS
+  // stays counted on the logical 3x3x3 window.
+  const ProfileReport rep = folded.profile_report();
+  ASSERT_EQ(rep.rows.size(), 5u);  // pack_input + 4 layers
+  EXPECT_NE(rep.rows[1].kernel.find(",fold"), std::string::npos) << rep.rows[1].kernel;
+  EXPECT_EQ(rep.rows[3].kernel.find(",fold"), std::string::npos) << rep.rows[3].kernel;
+  EXPECT_GT(rep.rows[1].gops, 0.0);
+}
+
 TEST(BinaryNetwork, LayerInfoReportsWeightLayout) {
   NetworkConfig on, off;
   on.tile_weights = true;

@@ -88,6 +88,21 @@ TEST(Histogram, LinearBucketingIsExact) {
   EXPECT_EQ(s.count, 8u);
 }
 
+TEST(Histogram, ResetZeroesBucketsSumAndCount) {
+  Histogram h;
+  h.record(5);
+  h.record(1'000'000);
+  h.reset();
+  Histogram::Snapshot s = h.snapshot();
+  EXPECT_EQ(s.count, 0u);
+  EXPECT_EQ(s.sum, 0u);
+  for (const std::uint64_t b : s.buckets) EXPECT_EQ(b, 0u);
+  h.record(3);
+  s = h.snapshot();
+  EXPECT_EQ(s.count, 1u);
+  EXPECT_EQ(s.quantile_upper(0.99), 3u);
+}
+
 TEST(Histogram, QuantileMatchesEngineConvention) {
   Histogram h;
   for (int i = 0; i < 99; ++i) h.record(10);  // bucket 4, upper 15
@@ -236,6 +251,20 @@ TEST(SpanStats, AccumulatesAndViews) {
   EXPECT_EQ(v.min_ns, 100u);
   EXPECT_DOUBLE_EQ(v.mean_ns(), 200.0);
   EXPECT_GE(v.p99_ns, v.p50_ns);
+}
+
+TEST(SpanStats, ResetClearsQuantilesToo) {
+  // Warm-up / tuner samples recorded before reset_profile() must not leak
+  // into the quantiles afterwards: p50/p99 reset with count, total and min.
+  SpanStats s;
+  for (int i = 0; i < 100; ++i) s.record(1'000'000'000);  // ~1 s each
+  s.reset();
+  for (int i = 0; i < 10; ++i) s.record(1'000);  // ~1 us each
+  const SpanStats::View v = s.view();
+  EXPECT_EQ(v.count, 10u);
+  EXPECT_EQ(v.min_ns, 1'000u);
+  EXPECT_LT(v.p50_ns, 2'048u);
+  EXPECT_LT(v.p99_ns, 2'048u);
 }
 
 TEST(Profiler, GlobalSwitchTogglesAndRoofIsPositive) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -275,6 +276,50 @@ TEST(TunerCache, StaleEntryIsReSearchedNeverCommitted) {
   const auto& c1 = net.layers()[0];
   EXPECT_EQ(c1.tune_source, "search");                  // not "cache"
   EXPECT_TRUE(c1.tile == 0 || c1.tile == 4 || c1.tile == 8) << c1.tile;
+}
+
+TEST(TunerCache, SchemaOneFileIsIgnoredAndLayerReSearched) {
+  // Schema 1 predates folded-window banks: a narrow first layer cached as
+  // "untiled" then must be re-searched now, not pinned to the slow plan.
+  EXPECT_EQ(kCacheSchemaVersion, 2u);
+  LayerWorkload wl = conv_workload(simd::IsaLevel::kU64, /*k=*/16);
+  wl.c = 3;
+  Decision untiled;
+  untiled.source = DecisionSource::kSearch;
+  untiled.candidates = 3;
+  TuneCache forged;
+  forged.put(key_for(wl), untiled);
+  const std::string current = forged.serialize();
+  std::string schema1 = current;
+  const std::uint32_t old_schema = 1;  // header: magic | format | schema | ...
+  std::memcpy(&schema1[8], &old_schema, sizeof old_schema);
+
+  auto finalize_with = [](const std::string& path, const std::string& bytes) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    if (f == nullptr) {
+      ADD_FAILURE() << "cannot write " << path;
+      return graph::LayerInfo{};
+    }
+    EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+    NetworkConfig cfg;
+    cfg.auto_tune = true;
+    cfg.tune_cache_path = path;
+    cfg.max_isa = simd::IsaLevel::kU64;
+    BinaryNetwork net(cfg);
+    net.add_conv("c1", models::random_filters(16, 3, 3, 3, 1), 1, 1);
+    net.add_fc("f1", models::random_fc_weights(16 * 16 * 16, 10, 2), 16 * 16 * 16, 10);
+    net.finalize(TensorDesc{16, 16, 3});
+    return net.layers()[0];
+  };
+  const CacheFileGuard cache(temp_cache_path("schema1"));
+  // Control: the same entry under the current schema is a cache hit, so the
+  // forged key matches the live layer.
+  const graph::LayerInfo hit = finalize_with(cache.path(), current);
+  EXPECT_EQ(hit.tune_source, "cache");
+  EXPECT_EQ(hit.tile, 0);
+  const graph::LayerInfo stale = finalize_with(cache.path(), schema1);
+  EXPECT_EQ(stale.tune_source, "search");
 }
 
 TEST(TunerCache, EnvVarPathIsUsedWhenConfigLeavesItEmpty) {
