@@ -276,13 +276,9 @@ inline double measure_conv_decision_seconds(const tune::LayerWorkload& wl,
   runtime::ThreadPool pool(1);
   const PackedTensor* ins[] = {&in};
   Tensor* outs[] = {&out};
-  if (d.tiled) {
-    const TiledFilterBank tiled = bitpack::tile_filters(filters, d.tile);
-    const auto fn = kernels::conv_dot_tiled_batch_kernel(wl.isa, wl.vpopcnt, d.tile);
-    return runtime::measure_best_seconds([&] { fn(ins, 1, tiled, spec, pool, outs); }, 5, 0.2);
-  }
-  const auto fn = kernels::conv_dot_batch_kernel(wl.isa, wl.vpopcnt);
-  return runtime::measure_best_seconds([&] { fn(ins, 1, filters, spec, pool, outs); }, 5, 0.2);
+  const TiledFilterBank tiled = bitpack::tile_filters(filters, d.tile);
+  const auto fn = kernels::conv_dot_tiled_batch_kernel(wl.isa, wl.vpopcnt, d.tile);
+  return runtime::measure_best_seconds([&] { fn(ins, 1, tiled, spec, pool, outs); }, 5, 0.2);
 }
 
 /// One row of the tuner sweep: the static heuristic's plan vs the plan the
@@ -318,11 +314,11 @@ inline TuneSweepResult measure_tuned_sweep(const TuneSweepShape& s, simd::IsaLev
   TuneSweepResult r;
   r.shape = s;
   r.isa = isa;
-  r.fixed = tune::default_decision(wl, /*tile_weights=*/true);
-  r.tuned = tune::search(wl, pool, /*tile_weights=*/true);
+  r.fixed = tune::default_decision(wl);
+  r.tuned = tune::search(wl, pool);
   r.fixed_ms = measure_conv_decision_seconds(wl, r.fixed) * 1e3;
-  const bool same_plan = r.tuned.tiled == r.fixed.tiled && r.tuned.tile == r.fixed.tile &&
-                         r.tuned.par_grain == r.fixed.par_grain;
+  const bool same_plan =
+      r.tuned.tile == r.fixed.tile && r.tuned.par_grain == r.fixed.par_grain;
   r.tuned_ms = same_plan ? r.fixed_ms : measure_conv_decision_seconds(wl, r.tuned) * 1e3;
   return r;
 }

@@ -49,20 +49,15 @@ struct Stage {
   simd::IsaLevel isa = simd::IsaLevel::kU64;
   bool is_last = false;  ///< last stage emits float scores, not bits
 
-  // Register-tiled layers hold only the interleaved weights + tiled kernels;
-  // filter-major layers only the untiled set (finalize never keeps both —
-  // the interleave is a permutation, so weight bytes are unchanged, except
-  // that narrow banks fold to one word per filter).
-  bool tiled = false;
-
+  // Binary conv/fc stages hold only the interleaved weights and the
+  // register-tiled kernels (the interleave is a permutation, so weight bytes
+  // equal the filter-major bank's, except that narrow banks fold to one word
+  // per filter).
   // conv
   kernels::ConvSpec conv_spec;
-  PackedFilterBank filters;
-  kernels::ConvBinarizeBatchFn conv_bin = nullptr;
-  kernels::ConvDotBatchFn conv_dot = nullptr;
-  TiledFilterBank filters_tiled;
-  kernels::ConvBinarizeTiledBatchFn conv_bin_tiled = nullptr;
-  kernels::ConvDotTiledBatchFn conv_dot_tiled = nullptr;
+  TiledFilterBank filters;
+  kernels::ConvBinarizeTiledBatchFn conv_bin = nullptr;
+  kernels::ConvDotTiledBatchFn conv_dot = nullptr;
   // first-layer full-precision conv
   bool full_precision = false;
   std::vector<float> float_weights_t;  // (kh*kw*C) x K, im2col layout
@@ -72,12 +67,9 @@ struct Stage {
   kernels::PoolSpec pool_spec;
 
   // fc
-  PackedMatrix fc_weights;  // k x n bits (pre-transposed at finalize)
-  kernels::BgemmRowsFn fc_dot = nullptr;
-  kernels::BgemmBinarizeRowsFn fc_bin = nullptr;
-  TiledBitMatrix fc_tiled;
-  kernels::BgemmRowsTiledFn fc_dot_tiled = nullptr;
-  kernels::BgemmBinarizeRowsTiledFn fc_bin_tiled = nullptr;
+  TiledBitMatrix fc_weights;  // k x n bits (pre-transposed at finalize)
+  kernels::BgemmRowsTiledFn fc_dot = nullptr;
+  kernels::BgemmBinarizeRowsTiledFn fc_bin = nullptr;
 
   std::vector<float> thresholds;  // empty = sign at zero
 
@@ -443,11 +435,11 @@ void BinaryNetwork::finalize(TensorDesc input) {
   // plan.acts[i] holds the packed input of stage i (for conv/pool stages);
   // contexts allocate one copy per batch slot.
   //
-  // With auto-tuning on, each conv/fc layer's plan (tiled vs untiled, tile
-  // width, parallel grain) comes from tune::decide() — a cache hit commits
-  // the remembered plan instantly, a miss microbenchmarks the candidates on
-  // the layer's real shapes.  Off, the static default_decision() reproduces
-  // the historical heuristic exactly.  Either way every candidate is
+  // With auto-tuning on, each conv/fc layer's plan (tile width, parallel
+  // grain) comes from tune::decide() — a cache hit commits the remembered
+  // plan instantly, a miss microbenchmarks the candidates on the layer's
+  // real shapes.  Off, the static default_decision() commits the fixed
+  // per-ISA heuristic.  Either way every candidate is
   // bit-exact, so this pass picks speed, never values.
   tune::TuneCache tune_cache;
   std::string tune_path;
@@ -499,31 +491,21 @@ void BinaryNetwork::finalize(TensorDesc input) {
           tune::Decision dec;
           if (im.cfg.auto_tune) {
             bool searched = false;
-            dec = tune::decide(wl, tune_cache, *tune_pool, im.cfg.tile_weights, &searched);
+            dec = tune::decide(wl, tune_cache, *tune_pool, &searched);
             tune_searched_any = tune_searched_any || searched;
           } else {
-            dec = tune::default_decision(wl, im.cfg.tile_weights);
+            dec = tune::default_decision(wl);
           }
           s.conv_spec.par_grain = dec.par_grain;
-          if (dec.tiled) {
-            // Re-lay into the interleaved register-tile layout and drop the
-            // filter-major bank (same word count, permuted order).
-            s.filters_tiled = bitpack::tile_filters(bank, dec.tile);
-            s.tiled = true;
-            s.conv_bin_tiled =
-                kernels::conv_binarize_tiled_batch_kernel(info.isa, wl.vpopcnt, dec.tile);
-            s.conv_dot_tiled =
-                kernels::conv_dot_tiled_batch_kernel(info.isa, wl.vpopcnt, dec.tile);
-            info.layout = kernels::WeightLayout::kInterleaved;
-            info.tile = dec.tile;
-            info.folded_window = s.filters_tiled.folded();
-            im.weight_bytes += s.filters_tiled.rows().num_words() * 8;
-          } else {
-            im.weight_bytes += bank.num_filters() * bank.words_per_filter() * 8;
-            s.filters = std::move(bank);
-            s.conv_bin = kernels::conv_binarize_batch_kernel(info.isa, wl.vpopcnt);
-            s.conv_dot = kernels::conv_dot_batch_kernel(info.isa, wl.vpopcnt);
-          }
+          // Re-lay into the interleaved register-tile layout; the
+          // filter-major bank is dropped (same word count, permuted order).
+          s.filters = bitpack::tile_filters(bank, dec.tile);
+          s.conv_bin = kernels::conv_binarize_tiled_batch_kernel(info.isa, wl.vpopcnt, dec.tile);
+          s.conv_dot = kernels::conv_dot_tiled_batch_kernel(info.isa, wl.vpopcnt, dec.tile);
+          info.layout = kernels::WeightLayout::kInterleaved;
+          info.tile = dec.tile;
+          info.folded_window = s.filters.folded();
+          im.weight_bytes += s.filters.rows().num_words() * 8;
           info.par_grain = dec.par_grain;
           info.tune_source = tune::decision_source_name(dec.source);
         }
@@ -551,24 +533,16 @@ void BinaryNetwork::finalize(TensorDesc input) {
         tune::Decision dec;
         if (im.cfg.auto_tune) {
           bool searched = false;
-          dec = tune::decide(wl, tune_cache, *tune_pool, im.cfg.tile_weights, &searched);
+          dec = tune::decide(wl, tune_cache, *tune_pool, &searched);
           tune_searched_any = tune_searched_any || searched;
         } else {
-          dec = tune::default_decision(wl, im.cfg.tile_weights);
+          dec = tune::default_decision(wl);
         }
-        if (dec.tiled) {
-          s.fc_tiled = bitpack::tile_fc_weights(w, dec.tile);
-          s.tiled = true;
-          s.fc_dot_tiled = kernels::bgemm_rows_tiled_kernel(info.isa, wl.vpopcnt, dec.tile);
-          s.fc_bin_tiled =
-              kernels::bgemm_binarize_rows_tiled_kernel(info.isa, wl.vpopcnt, dec.tile);
-          info.layout = kernels::WeightLayout::kInterleaved;
-          info.tile = dec.tile;
-        } else {
-          s.fc_weights = std::move(w);
-          s.fc_dot = kernels::bgemm_rows_kernel(info.isa, wl.vpopcnt);
-          s.fc_bin = kernels::bgemm_binarize_rows_kernel(info.isa, wl.vpopcnt);
-        }
+        s.fc_weights = bitpack::tile_fc_weights(w, dec.tile);
+        s.fc_dot = kernels::bgemm_rows_tiled_kernel(info.isa, wl.vpopcnt, dec.tile);
+        s.fc_bin = kernels::bgemm_binarize_rows_tiled_kernel(info.isa, wl.vpopcnt, dec.tile);
+        info.layout = kernels::WeightLayout::kInterleaved;
+        info.tile = dec.tile;
         info.tune_source = tune::decision_source_name(dec.source);
         l.fc_weights.clear();
         l.fc_weights.shrink_to_fit();
@@ -647,8 +621,7 @@ void BinaryNetwork::finalize(TensorDesc input) {
         if (s.full_precision) {
           kernel = "im2col_sgemm[f32]";
         } else {
-          kernel = s.tiled ? (s.is_last ? "pressedconv_dot_tiled" : "pressedconv_bin_tiled")
-                           : (s.is_last ? "pressedconv_dot" : "pressedconv_bin");
+          kernel = s.is_last ? "pressedconv_dot_tiled" : "pressedconv_bin_tiled";
           // Padded extents: that is the buffer the kernel actually reads
           // (and keeps the workload non-degenerate for same-padded layers).
           ait = core::analyze_binary_conv({info.in.h + 2 * info.pad, info.in.w + 2 * info.pad,
@@ -665,8 +638,7 @@ void BinaryNetwork::finalize(TensorDesc input) {
         const double n_in = static_cast<double>(info.in.num_elements());
         const double k_out = static_cast<double>(info.out.num_elements());
         ops = 2.0 * n_in * k_out;
-        kernel = s.tiled ? (s.is_last ? "bgemm_rows_tiled" : "bgemm_binarize_rows_tiled")
-                         : (s.is_last ? "bgemm_rows" : "bgemm_binarize_rows");
+        kernel = s.is_last ? "bgemm_rows_tiled" : "bgemm_binarize_rows_tiled";
         ait = core::analyze_binary_conv({1, 1, info.in.num_elements(),
                                          info.out.num_elements(), 1, 1})
                   .ait_direct;
@@ -679,10 +651,8 @@ void BinaryNetwork::finalize(TensorDesc input) {
       // Surface the committed plan: ",t8" = register-tile width, ",fold" =
       // folded-window bank, ",g18" = parallel grain (omitted at the
       // pixel-level default of 1).
-      if (s.tiled) {
-        kernel += ",t";
-        kernel += std::to_string(info.tile);
-      }
+      kernel += ",t";
+      kernel += std::to_string(info.tile);
       if (info.folded_window) kernel += ",fold";
       if (s.kind == LayerKind::kConv && s.conv_spec.par_grain > 1) {
         kernel += ",g";
@@ -871,13 +841,7 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
             cx.dot_ptrs[static_cast<std::size_t>(b)] =
                 &cx.last_conv_dot[static_cast<std::size_t>(b)];
           }
-          if (s.tiled) {
-            s.conv_dot_tiled(cx.in_ptrs.data(), n, s.filters_tiled, s.conv_spec, cx.pool,
-                             cx.dot_ptrs.data());
-          } else {
-            s.conv_dot(cx.in_ptrs.data(), n, s.filters, s.conv_spec, cx.pool,
-                       cx.dot_ptrs.data());
-          }
+          s.conv_dot(cx.in_ptrs.data(), n, s.filters, s.conv_spec, cx.pool, cx.dot_ptrs.data());
           for (std::int64_t b = 0; b < n; ++b) {
             const Tensor& dots = cx.last_conv_dot[static_cast<std::size_t>(b)];
             std::copy(dots.data(), dots.data() + dots.num_elements(),
@@ -888,13 +852,8 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
           for (std::int64_t b = 0; b < n; ++b) {
             cx.out_ptrs[static_cast<std::size_t>(b)] = &out[static_cast<std::size_t>(b)];
           }
-          if (s.tiled) {
-            s.conv_bin_tiled(cx.in_ptrs.data(), n, s.filters_tiled, s.conv_spec, th, cx.pool,
-                             cx.out_ptrs.data(), s.out_margin);
-          } else {
-            s.conv_bin(cx.in_ptrs.data(), n, s.filters, s.conv_spec, th, cx.pool,
-                       cx.out_ptrs.data(), s.out_margin);
-          }
+          s.conv_bin(cx.in_ptrs.data(), n, s.filters, s.conv_spec, th, cx.pool,
+                     cx.out_ptrs.data(), s.out_margin);
         }
         break;
       }
@@ -929,14 +888,7 @@ std::span<const float> BinaryNetwork::infer_batch(std::span<const Tensor* const>
           }
         }
         if (s.is_last) {
-          if (s.tiled) {
-            s.fc_dot_tiled(in, n, s.fc_tiled, cx.pool, cx.scores.data());
-          } else {
-            s.fc_dot(in, n, s.fc_weights, cx.pool, cx.scores.data());
-          }
-        } else if (s.tiled) {
-          s.fc_bin_tiled(in, n, s.fc_tiled, th, cx.pool,
-                         cx.fc_bits[static_cast<std::size_t>(s.out_fc)]);
+          s.fc_dot(in, n, s.fc_weights, cx.pool, cx.scores.data());
         } else {
           s.fc_bin(in, n, s.fc_weights, th, cx.pool,
                    cx.fc_bits[static_cast<std::size_t>(s.out_fc)]);

@@ -6,7 +6,8 @@
 //   * shape inference over the whole chain (scheduler component 1);
 //   * kernel selection per operator from the channel-multiple rules and the
 //     detected hardware (components 2-3, Fig. 6);
-//   * binarization + bit-packing of all weights, once and for all;
+//   * binarization + bit-packing of all weights, once and for all, into the
+//     interleaved register-tile layout the tiled kernels read;
 //   * a memory plan sizing every activation buffer, with each buffer carrying
 //     the *consumer's* padding margin so that padding costs nothing at
 //     inference time (Fig. 5) — the static-graph memory planner.
@@ -73,14 +74,15 @@ struct LayerInfo {
   simd::IsaLevel isa = simd::IsaLevel::kU64;
   std::string isa_reason;
   bool full_precision = false;  ///< first-layer float conv (see add_conv_float)
-  /// Weight layout finalize() chose for this layer (conv/fc only):
-  /// kInterleaved when the register-tiled kernels run it, kFilterMajor when
-  /// it fell back (tiling disabled, K < tile width, or no weights at all).
+  /// Weight layout of this layer: kInterleaved on every binary conv/fc
+  /// layer (the register-tiled kernels run them all); kFilterMajor on layers
+  /// without packed weights (pool, full-precision first conv).
   kernels::WeightLayout layout = kernels::WeightLayout::kFilterMajor;
-  /// Committed register-tile width T (0 = filter-major kernels) and
-  /// parallel-axis grain of the fused spatial range — the execution plan the
-  /// stage will dispatch.  With auto-tuning off these mirror the static
-  /// heuristic (weight_tile_width / grain 1).
+  /// Committed register-tile width T (0 on layers without packed weights)
+  /// and parallel-axis grain of the fused spatial range — the execution plan
+  /// the stage will dispatch.  With auto-tuning off these mirror the static
+  /// heuristic (tune::default_decision: weight_tile_width, or the narrowest
+  /// width when K is below it; grain 1).
   std::int64_t tile = 0;
   std::int64_t par_grain = 1;
   /// The tiled conv bank is folded (window_folds: a multi-tap
@@ -144,17 +146,11 @@ struct NetworkConfig {
   /// Caps the scheduler's kernel choice (e.g. kAvx2 to model an i7-7700HQ
   /// on wider hardware).  The cap must itself be hardware-supported.
   std::optional<simd::IsaLevel> max_isa;
-  /// Re-lay conv filters and FC weights into the T-way interleaved layout at
-  /// finalize() and run the register-tiled kernels (bit-exact with the
-  /// filter-major path; same weight bytes).  Layers with fewer outputs than
-  /// the tile width keep the filter-major layout either way.
-  bool tile_weights = true;
   /// Run the finalize-time auto-tuner (tune/tuner.hpp): microbenchmark each
-  /// conv/fc layer's kernel candidates (tiled vs untiled x tile width x
-  /// parallel grain) on its real shapes and commit the fastest.  Every
-  /// candidate is bit-exact, so tuning changes latency only.  Decisions are
-  /// read from / written to the tuning cache (below) so warm starts skip the
-  /// search.
+  /// conv/fc layer's kernel candidates (tile width x parallel grain) on its
+  /// real shapes and commit the fastest.  Every candidate is bit-exact, so
+  /// tuning changes latency only.  Decisions are read from / written to the
+  /// tuning cache (below) so warm starts skip the search.
   bool auto_tune = false;
   /// Path of the persistent tuning cache.  Empty (the default) falls back to
   /// $BITFLOW_TUNE_CACHE; if that is unset too, decisions are not persisted.

@@ -11,9 +11,6 @@ namespace bitflow::kernels {
 
 namespace detail {
 #define BITFLOW_DECLARE_BGEMM(SUFFIX)                                                         \
-  void bgemm_##SUFFIX(const PackedMatrix&, const PackedMatrix&, runtime::ThreadPool&, float*); \
-  void bgemm_binarize_##SUFFIX(const PackedMatrix&, const PackedMatrix&, const float*,         \
-                               runtime::ThreadPool&, PackedMatrix&);                           \
   void bgemm_rows_##SUFFIX(const PackedMatrix&, std::int64_t, const PackedMatrix&,             \
                            runtime::ThreadPool&, float*);                                      \
   void bgemm_binarize_rows_##SUFFIX(const PackedMatrix&, std::int64_t, const PackedMatrix&,    \
@@ -48,36 +45,6 @@ BITFLOW_DECLARE_BGEMM_TILED(avx512vp_t8)
 BITFLOW_DECLARE_BGEMM_TILED(avx512vp_t16)
 #undef BITFLOW_DECLARE_BGEMM_TILED
 }  // namespace detail
-
-BgemmFn bgemm_kernel(simd::IsaLevel isa) {
-  return bgemm_kernel(isa, simd::cpu_features().avx512vpopcntdq);
-}
-
-BgemmBinarizeFn bgemm_binarize_kernel(simd::IsaLevel isa) {
-  return bgemm_binarize_kernel(isa, simd::cpu_features().avx512vpopcntdq);
-}
-
-BgemmFn bgemm_kernel(simd::IsaLevel isa, bool use_vpopcntdq) {
-  switch (isa) {
-    case simd::IsaLevel::kU64: return &detail::bgemm_u64;
-    case simd::IsaLevel::kSse: return &detail::bgemm_sse;
-    case simd::IsaLevel::kAvx2: return &detail::bgemm_avx2;
-    case simd::IsaLevel::kAvx512:
-      return use_vpopcntdq ? &detail::bgemm_avx512vp : &detail::bgemm_avx512;
-  }
-  throw std::invalid_argument("bgemm_kernel: bad ISA level");
-}
-
-BgemmBinarizeFn bgemm_binarize_kernel(simd::IsaLevel isa, bool use_vpopcntdq) {
-  switch (isa) {
-    case simd::IsaLevel::kU64: return &detail::bgemm_binarize_u64;
-    case simd::IsaLevel::kSse: return &detail::bgemm_binarize_sse;
-    case simd::IsaLevel::kAvx2: return &detail::bgemm_binarize_avx2;
-    case simd::IsaLevel::kAvx512:
-      return use_vpopcntdq ? &detail::bgemm_binarize_avx512vp : &detail::bgemm_binarize_avx512;
-  }
-  throw std::invalid_argument("bgemm_binarize_kernel: bad ISA level");
-}
 
 BgemmRowsFn bgemm_rows_kernel(simd::IsaLevel isa) {
   return bgemm_rows_kernel(isa, simd::cpu_features().avx512vpopcntdq);
@@ -168,12 +135,13 @@ BgemmBinarizeRowsTiledFn bgemm_binarize_rows_tiled_kernel(simd::IsaLevel isa,
 }
 
 void bgemm(const PackedMatrix& a, const PackedMatrix& w, runtime::ThreadPool& pool, float* y) {
-  bgemm_kernel(simd::cpu_features().best_isa())(a, w, pool, y);
+  bgemm_rows_kernel(simd::cpu_features().best_isa())(a, a.rows(), w, pool, y);
 }
 
 void bgemm_binarize(const PackedMatrix& a, const PackedMatrix& w, const float* thresholds,
                     runtime::ThreadPool& pool, PackedMatrix& out) {
-  bgemm_binarize_kernel(simd::cpu_features().best_isa())(a, w, thresholds, pool, out);
+  bgemm_binarize_rows_kernel(simd::cpu_features().best_isa())(a, a.rows(), w, thresholds, pool,
+                                                              out);
 }
 
 }  // namespace bitflow::kernels

@@ -21,26 +21,18 @@
 
 namespace bitflow::kernels {
 
-/// Raw-dot bgemm: y is row-major M x K floats, y[m*K + k] = Eq.1 dot of
-/// A row m and W row k.  A and W must agree on cols().
-using BgemmFn = void (*)(const PackedMatrix& a, const PackedMatrix& w, runtime::ThreadPool& pool,
-                         float* y);
-
-/// Fused bgemm + binarize: bit k of output row m is dot(m,k) >=
-/// thresholds[k] (null thresholds = sign).  `out` must be M x K bits.
-using BgemmBinarizeFn = void (*)(const PackedMatrix& a, const PackedMatrix& w,
-                                 const float* thresholds, runtime::ThreadPool& pool,
-                                 PackedMatrix& out);
-
-/// Row-limited raw-dot bgemm: computes only rows [0, m_rows) of A.  The
-/// serving path keeps a max_batch-row activation matrix and fills the first
-/// n rows per micro-batch; M and K are fused into one parallel_for so a
-/// batch costs one fork/join.  Bit-identical to BgemmFn on the same rows.
+/// Row-limited raw-dot bgemm: y is row-major m_rows x K floats,
+/// y[m*K + k] = Eq. 1 dot of A row m and W row k, for rows [0, m_rows) of A
+/// only (a full product passes m_rows = a.rows()).  A and W must agree on
+/// cols().  The serving path keeps a max_batch-row activation matrix and
+/// fills the first n rows per micro-batch; M and K are fused into one
+/// parallel_for so a batch costs one fork/join.
 using BgemmRowsFn = void (*)(const PackedMatrix& a, std::int64_t m_rows, const PackedMatrix& w,
                              runtime::ThreadPool& pool, float* y);
 
-/// Row-limited fused bgemm + binarize; rows [m_rows, out.rows()) of `out`
-/// are left untouched.
+/// Row-limited fused bgemm + binarize: bit k of output row m is dot(m,k) >=
+/// thresholds[k] (null thresholds = sign).  `out` must be A.rows() x K bits;
+/// rows [m_rows, out.rows()) are left untouched.
 using BgemmBinarizeRowsFn = void (*)(const PackedMatrix& a, std::int64_t m_rows,
                                      const PackedMatrix& w, const float* thresholds,
                                      runtime::ThreadPool& pool, PackedMatrix& out);
@@ -50,7 +42,6 @@ using BgemmBinarizeRowsFn = void (*)(const PackedMatrix& a, std::int64_t m_rows,
 /// tile = weight_tile_width(isa), so each activation word feeds T contiguous
 /// neuron words instead of T strided rows.  Bit-exact with BgemmRowsFn;
 /// throws std::invalid_argument if W's tile width does not match the kernel.
-/// The filter-major overloads above remain for ad-hoc callers.
 using BgemmRowsTiledFn = void (*)(const PackedMatrix& a, std::int64_t m_rows,
                                   const TiledBitMatrix& w, runtime::ThreadPool& pool, float* y);
 
@@ -59,20 +50,11 @@ using BgemmBinarizeRowsTiledFn = void (*)(const PackedMatrix& a, std::int64_t m_
                                           const TiledBitMatrix& w, const float* thresholds,
                                           runtime::ThreadPool& pool, PackedMatrix& out);
 
-/// Returns the raw-dot bgemm compiled for `isa` (hardware support is the
-/// caller's responsibility, as with conv_dot_kernel).
-[[nodiscard]] BgemmFn bgemm_kernel(simd::IsaLevel isa);
-
-/// Returns the fused binarize bgemm compiled for `isa`.
-[[nodiscard]] BgemmBinarizeFn bgemm_binarize_kernel(simd::IsaLevel isa);
-
-/// Variant-pinned overloads: at kAvx512, `use_vpopcntdq` picks the byte-LUT
-/// or native-VPOPCNTDQ translation unit explicitly rather than by CPUID (for
-/// the ISA-parity harness); ignored at narrower levels.
-[[nodiscard]] BgemmFn bgemm_kernel(simd::IsaLevel isa, bool use_vpopcntdq);
-[[nodiscard]] BgemmBinarizeFn bgemm_binarize_kernel(simd::IsaLevel isa, bool use_vpopcntdq);
-
-/// Row-limited counterparts of the kernel getters.
+/// Returns the filter-major bgemm compiled for `isa` (hardware support is
+/// the caller's responsibility).  The overloads with `use_vpopcntdq` pick
+/// the byte-LUT or native-VPOPCNTDQ translation unit at kAvx512 explicitly
+/// rather than by CPUID (for the ISA-parity harness); the flag is ignored at
+/// narrower levels.
 [[nodiscard]] BgemmRowsFn bgemm_rows_kernel(simd::IsaLevel isa);
 [[nodiscard]] BgemmBinarizeRowsFn bgemm_binarize_rows_kernel(simd::IsaLevel isa);
 [[nodiscard]] BgemmRowsFn bgemm_rows_kernel(simd::IsaLevel isa, bool use_vpopcntdq);
@@ -95,7 +77,8 @@ using BgemmBinarizeRowsTiledFn = void (*)(const PackedMatrix& a, std::int64_t m_
                                                                         bool use_vpopcntdq,
                                                                         std::int64_t tile);
 
-/// Dispatching wrappers (widest hardware ISA).
+/// Full-product wrappers: run the row-limited kernel of the widest hardware
+/// ISA over every row of A.
 void bgemm(const PackedMatrix& a, const PackedMatrix& w, runtime::ThreadPool& pool, float* y);
 void bgemm_binarize(const PackedMatrix& a, const PackedMatrix& w, const float* thresholds,
                     runtime::ThreadPool& pool, PackedMatrix& out);

@@ -8,7 +8,7 @@
 // small FC layer costs one fork/join instead of N — same fusion the batched
 // PressedConv applies to N*H*W.  Each output element depends only on its own
 // (m, k) pair, so results are bit-identical for any m_rows and any thread
-// count; the classic entry points are the m_rows = rows() case.
+// count; a full product is the m_rows = rows() call.
 #pragma once
 
 #include <algorithm>
@@ -63,12 +63,6 @@ void bgemm_rows_impl(const PackedMatrix& a, std::int64_t m_rows, const PackedMat
 }
 
 template <typename Ops>
-void bgemm_impl(const PackedMatrix& a, const PackedMatrix& w, runtime::ThreadPool& pool,
-                float* y) {
-  bgemm_rows_impl<Ops>(a, a.rows(), w, pool, y);
-}
-
-template <typename Ops>
 void bgemm_binarize_rows_impl(const PackedMatrix& a, std::int64_t m_rows, const PackedMatrix& w,
                               const float* thresholds, runtime::ThreadPool& pool,
                               PackedMatrix& out) {
@@ -102,12 +96,6 @@ void bgemm_binarize_rows_impl(const PackedMatrix& a, std::int64_t m_rows, const 
       out.row(m)[wi] = packed;
     }
   });
-}
-
-template <typename Ops>
-void bgemm_binarize_impl(const PackedMatrix& a, const PackedMatrix& w, const float* thresholds,
-                         runtime::ThreadPool& pool, PackedMatrix& out) {
-  bgemm_binarize_rows_impl<Ops>(a, a.rows(), w, thresholds, pool, out);
 }
 
 // --- register-tiled variants over the interleaved weight layout --------------
@@ -231,19 +219,10 @@ void bgemm_binarize_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows,
 
 }  // namespace bitflow::kernels::impl
 
-/// Stamps out the bgemm entry points (full and row-limited) for one ISA
+/// Stamps out the filter-major row-limited bgemm entry points for one ISA
 /// policy.
 #define BITFLOW_INSTANTIATE_BGEMM(SUFFIX, OPS)                                                  \
   namespace bitflow::kernels::detail {                                                          \
-  void bgemm_##SUFFIX(const PackedMatrix& a, const PackedMatrix& w, runtime::ThreadPool& pool,  \
-                      float* y) {                                                               \
-    impl::bgemm_impl<OPS>(a, w, pool, y);                                                       \
-  }                                                                                             \
-  void bgemm_binarize_##SUFFIX(const PackedMatrix& a, const PackedMatrix& w,                    \
-                               const float* thresholds, runtime::ThreadPool& pool,              \
-                               PackedMatrix& out) {                                             \
-    impl::bgemm_binarize_impl<OPS>(a, w, thresholds, pool, out);                                \
-  }                                                                                             \
   void bgemm_rows_##SUFFIX(const PackedMatrix& a, std::int64_t m_rows, const PackedMatrix& w,   \
                            runtime::ThreadPool& pool, float* y) {                               \
     impl::bgemm_rows_impl<OPS>(a, m_rows, w, pool, y);                                          \

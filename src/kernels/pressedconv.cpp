@@ -12,10 +12,6 @@ namespace bitflow::kernels {
 namespace detail {
 // Defined by BITFLOW_INSTANTIATE_PRESSEDCONV in the per-ISA TUs.
 #define BITFLOW_DECLARE_PRESSEDCONV(SUFFIX)                                                      \
-  void conv_dot_##SUFFIX(const PackedTensor&, const PackedFilterBank&, const ConvSpec&,          \
-                         runtime::ThreadPool&, Tensor&);                                         \
-  void conv_binarize_##SUFFIX(const PackedTensor&, const PackedFilterBank&, const ConvSpec&,     \
-                              const float*, runtime::ThreadPool&, PackedTensor&, std::int64_t);  \
   void conv_dot_batch_##SUFFIX(const PackedTensor* const*, std::int64_t,                         \
                                const PackedFilterBank&, const ConvSpec&, runtime::ThreadPool&,   \
                                Tensor* const*);                                                  \
@@ -54,36 +50,6 @@ BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512vp_t8)
 BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512vp_t16)
 #undef BITFLOW_DECLARE_PRESSEDCONV_TILED
 }  // namespace detail
-
-ConvDotFn conv_dot_kernel(simd::IsaLevel isa) {
-  return conv_dot_kernel(isa, simd::cpu_features().avx512vpopcntdq);
-}
-
-ConvBinarizeFn conv_binarize_kernel(simd::IsaLevel isa) {
-  return conv_binarize_kernel(isa, simd::cpu_features().avx512vpopcntdq);
-}
-
-ConvDotFn conv_dot_kernel(simd::IsaLevel isa, bool use_vpopcntdq) {
-  switch (isa) {
-    case simd::IsaLevel::kU64: return &detail::conv_dot_u64;
-    case simd::IsaLevel::kSse: return &detail::conv_dot_sse;
-    case simd::IsaLevel::kAvx2: return &detail::conv_dot_avx2;
-    case simd::IsaLevel::kAvx512:
-      return use_vpopcntdq ? &detail::conv_dot_avx512vp : &detail::conv_dot_avx512;
-  }
-  throw std::invalid_argument("conv_dot_kernel: bad ISA level");
-}
-
-ConvBinarizeFn conv_binarize_kernel(simd::IsaLevel isa, bool use_vpopcntdq) {
-  switch (isa) {
-    case simd::IsaLevel::kU64: return &detail::conv_binarize_u64;
-    case simd::IsaLevel::kSse: return &detail::conv_binarize_sse;
-    case simd::IsaLevel::kAvx2: return &detail::conv_binarize_avx2;
-    case simd::IsaLevel::kAvx512:
-      return use_vpopcntdq ? &detail::conv_binarize_avx512vp : &detail::conv_binarize_avx512;
-  }
-  throw std::invalid_argument("conv_binarize_kernel: bad ISA level");
-}
 
 ConvDotBatchFn conv_dot_batch_kernel(simd::IsaLevel isa) {
   return conv_dot_batch_kernel(isa, simd::cpu_features().avx512vpopcntdq);
@@ -213,7 +179,10 @@ void pressed_conv_dot(const PackedTensor& in, const PackedFilterBank& filters,
       out.layout() != Layout::kHWC) {
     throw std::invalid_argument("pressed_conv_dot: output tensor mis-shaped");
   }
-  conv_dot_kernel(simd::cpu_features().best_isa())(in, filters, spec, pool, out);
+  const PackedTensor* in_ptr = &in;
+  Tensor* out_ptr = &out;
+  conv_dot_batch_kernel(simd::cpu_features().best_isa())(&in_ptr, 1, filters, spec, pool,
+                                                         &out_ptr);
 }
 
 void pressed_conv_binarize(const PackedTensor& in, const PackedFilterBank& filters,
@@ -227,8 +196,10 @@ void pressed_conv_binarize(const PackedTensor& in, const PackedFilterBank& filte
       out.channels() != filters.num_filters()) {
     throw std::invalid_argument("pressed_conv_binarize: output tensor mis-shaped for margin");
   }
-  conv_binarize_kernel(simd::cpu_features().best_isa())(in, filters, spec, thresholds, pool, out,
-                                                        margin);
+  const PackedTensor* in_ptr = &in;
+  PackedTensor* out_ptr = &out;
+  conv_binarize_batch_kernel(simd::cpu_features().best_isa())(&in_ptr, 1, filters, spec,
+                                                              thresholds, pool, &out_ptr, margin);
 }
 
 }  // namespace bitflow::kernels

@@ -16,8 +16,11 @@
 //                  batch-normalization enters a BNN at inference time.
 //
 // Each ISA variant is compiled in its own TU with exactly that ISA enabled;
-// `conv_dot_kernel(isa)` / `conv_binarize_kernel(isa)` return the variant,
-// and the vector execution scheduler (graph/scheduler.hpp) chooses `isa`.
+// the `*_kernel(isa)` getters return the variant, and the vector execution
+// scheduler (graph/scheduler.hpp) chooses `isa`.  Two weight layouts have
+// kernels: the filter-major bank of Algorithm 1 (the ops:: operators, the
+// paper benches and the parity reference) and the interleaved register-tile
+// bank, the only layout graph::BinaryNetwork runs.
 #pragma once
 
 #include <cstdint>
@@ -30,34 +33,23 @@
 
 namespace bitflow::kernels {
 
-/// Raw-dot PressedConv: writes Eq. 1 inner products into an HWC float tensor
-/// of extents out_h x out_w x K.  `out` must be pre-shaped by the caller.
-using ConvDotFn = void (*)(const PackedTensor& in, const PackedFilterBank& filters,
-                           const ConvSpec& spec, runtime::ThreadPool& pool, Tensor& out);
-
-/// Fused PressedConv + binarize: bit k of output pixel (y, x) is
-/// `dot(y,x,k) >= thresholds[k]` (thresholds may be null for sign(dot)).
-/// The result is written into the interior of `out` at offset `margin` on
-/// each side; `out` extents must be (out_h + 2*margin, out_w + 2*margin, K)
-/// and its margin region is left untouched (zero bits = -1), realizing the
-/// next layer's padding at zero cost (paper Fig. 5).
-using ConvBinarizeFn = void (*)(const PackedTensor& in, const PackedFilterBank& filters,
-                                const ConvSpec& spec, const float* thresholds,
-                                runtime::ThreadPool& pool, PackedTensor& out,
-                                std::int64_t margin);
-
-/// Batch-N raw-dot PressedConv: `in` and `out` are arrays of `n` tensor
-/// pointers with identical extents; the batch axis is fused with the spatial
-/// output range into one n*out_h*out_w parallel_for, so N requests cost one
-/// fork/join and deep layers with small H*W still fill the pool.  Output b
-/// is bit-identical to a single-image run over in[b] (the single-image entry
-/// points are the n = 1 case of the same loop).
+/// Batch-N raw-dot PressedConv: writes Eq. 1 inner products of image b into
+/// out[b], an HWC float tensor of extents out_h x out_w x K that the caller
+/// pre-shapes.  `in` and `out` are arrays of `n` tensor pointers with
+/// identical extents; the batch axis is fused with the spatial output range
+/// into one n*out_h*out_w parallel_for, so N requests cost one fork/join and
+/// deep layers with small H*W still fill the pool.  Output b depends only on
+/// in[b]; a single image is the n = 1 call.
 using ConvDotBatchFn = void (*)(const PackedTensor* const* in, std::int64_t n,
                                 const PackedFilterBank& filters, const ConvSpec& spec,
                                 runtime::ThreadPool& pool, Tensor* const* out);
 
-/// Batch-N fused PressedConv + binarize; see ConvBinarizeFn for the margin
-/// contract, applied to each of the `n` outputs.
+/// Batch-N fused PressedConv + binarize: bit k of output pixel (y, x) is
+/// `dot(y,x,k) >= thresholds[k]` (thresholds may be null for sign(dot)).
+/// The result is written into the interior of each out[b] at offset
+/// `margin` on each side; out[b] extents must be (out_h + 2*margin,
+/// out_w + 2*margin, K) and its margin region is left untouched (zero bits
+/// = -1), realizing the next layer's padding at zero cost (paper Fig. 5).
 using ConvBinarizeBatchFn = void (*)(const PackedTensor* const* in, std::int64_t n,
                                      const PackedFilterBank& filters, const ConvSpec& spec,
                                      const float* thresholds, runtime::ThreadPool& pool,
@@ -82,14 +74,13 @@ using ConvBinarizeTiledBatchFn = void (*)(const PackedTensor* const* in, std::in
                                           const float* thresholds, runtime::ThreadPool& pool,
                                           PackedTensor* const* out, std::int64_t margin);
 
-/// Returns the raw-dot kernel compiled for `isa`.  The caller must have
-/// verified hardware support (simd::cpu_features().supports(isa)).
-[[nodiscard]] ConvDotFn conv_dot_kernel(simd::IsaLevel isa);
-
-/// Returns the fused binarize kernel compiled for `isa`.
-[[nodiscard]] ConvBinarizeFn conv_binarize_kernel(simd::IsaLevel isa);
-
-/// Batch-N counterparts of the kernel getters.
+/// Returns the filter-major (paper Algorithm 1) kernel compiled for `isa`.
+/// The caller must have verified hardware support
+/// (simd::cpu_features().supports(isa)).  The overloads with
+/// `use_vpopcntdq` pin the variant: at kAvx512 it selects between the
+/// byte-LUT TU and the native-VPOPCNTDQ TU instead of deferring to CPUID
+/// (the ISA-parity harness exercises both on capable hosts); at narrower
+/// levels the flag is ignored.
 [[nodiscard]] ConvDotBatchFn conv_dot_batch_kernel(simd::IsaLevel isa);
 [[nodiscard]] ConvBinarizeBatchFn conv_binarize_batch_kernel(simd::IsaLevel isa);
 [[nodiscard]] ConvDotBatchFn conv_dot_batch_kernel(simd::IsaLevel isa, bool use_vpopcntdq);
@@ -98,9 +89,7 @@ using ConvBinarizeTiledBatchFn = void (*)(const PackedTensor* const* in, std::in
 
 /// Register-tiled kernel getters (interleaved weight layout).  The bank's
 /// tile width must match the kernel's; the overloads without an explicit
-/// `tile` return the weight_tile_width(isa) default, and single-image
-/// callers pass n = 1 — the batch entry points are the only tiled entry
-/// points.
+/// `tile` return the weight_tile_width(isa) default.
 [[nodiscard]] ConvDotTiledBatchFn conv_dot_tiled_batch_kernel(simd::IsaLevel isa);
 [[nodiscard]] ConvBinarizeTiledBatchFn conv_binarize_tiled_batch_kernel(simd::IsaLevel isa);
 [[nodiscard]] ConvDotTiledBatchFn conv_dot_tiled_batch_kernel(simd::IsaLevel isa,
@@ -117,16 +106,11 @@ using ConvBinarizeTiledBatchFn = void (*)(const PackedTensor* const* in, std::in
                                                                         bool use_vpopcntdq,
                                                                         std::int64_t tile);
 
-/// Variant-pinned overloads: at kAvx512, `use_vpopcntdq` selects between the
-/// byte-LUT TU and the native-VPOPCNTDQ TU instead of deferring to CPUID (the
-/// ISA-parity harness exercises both on capable hosts).  At narrower levels
-/// the flag is ignored.
-[[nodiscard]] ConvDotFn conv_dot_kernel(simd::IsaLevel isa, bool use_vpopcntdq);
-[[nodiscard]] ConvBinarizeFn conv_binarize_kernel(simd::IsaLevel isa, bool use_vpopcntdq);
-
-/// Convenience wrappers that dispatch to the widest kernel the executing CPU
-/// supports (still honouring the channel-multiple rules is the scheduler's
-/// job; these pick purely by hardware).
+/// Single-image convenience wrappers: validate the arguments and output
+/// extents (throwing std::invalid_argument), then run the n = 1 batch kernel
+/// of the widest ISA the executing CPU supports (honouring the
+/// channel-multiple rules is the scheduler's job; these pick purely by
+/// hardware).
 void pressed_conv_dot(const PackedTensor& in, const PackedFilterBank& filters,
                       const ConvSpec& spec, runtime::ThreadPool& pool, Tensor& out);
 

@@ -19,8 +19,7 @@
 // fill the pool, and N requests cost one fork/join instead of N).  Each
 // image has its own input/output tensor; a pixel's value depends only on
 // its own image's words, so batch-N output b is bit-identical to a batch-1
-// run of image b — the single-image entry points are the n = 1 case of the
-// same code path.
+// run of image b — a single image is the n = 1 call.
 #pragma once
 
 #include <algorithm>
@@ -139,14 +138,6 @@ void conv_dot_batch_impl(const PackedTensor* const* in, std::int64_t n,
   });
 }
 
-template <typename Ops>
-void conv_dot_impl(const PackedTensor& in, const PackedFilterBank& filters, const ConvSpec& spec,
-                   runtime::ThreadPool& pool, Tensor& out) {
-  const PackedTensor* in_ptr = &in;
-  Tensor* out_ptr = &out;
-  conv_dot_batch_impl<Ops>(&in_ptr, 1, filters, spec, pool, &out_ptr);
-}
-
 /// Fused binarize counterpart of conv_dot_3x3_w1_batch.
 inline void conv_binarize_3x3_w1_batch(const PackedTensor* const* in, std::int64_t n,
                                        const PackedFilterBank& filters, const ConvSpec& spec,
@@ -249,15 +240,6 @@ void conv_binarize_batch_impl(const PackedTensor* const* in, std::int64_t n,
       }
     }
   });
-}
-
-template <typename Ops>
-void conv_binarize_impl(const PackedTensor& in, const PackedFilterBank& filters,
-                        const ConvSpec& spec, const float* thresholds, runtime::ThreadPool& pool,
-                        PackedTensor& out, std::int64_t margin) {
-  const PackedTensor* in_ptr = &in;
-  PackedTensor* out_ptr = &out;
-  conv_binarize_batch_impl<Ops>(&in_ptr, 1, filters, spec, thresholds, pool, &out_ptr, margin);
 }
 
 // --- folded-window variants (narrow layers, bank.folded()) -------------------
@@ -575,20 +557,10 @@ void conv_binarize_tiled_batch_impl(const PackedTensor* const* in, std::int64_t 
 
 }  // namespace bitflow::kernels::impl
 
-/// Stamps out the kernel entry points (single-image and batched) for one ISA
-/// policy.  Used by each per-ISA TU after defining `Ops`.
+/// Stamps out the filter-major batch entry points for one ISA policy.  Used
+/// by each per-ISA TU after defining `Ops`.
 #define BITFLOW_INSTANTIATE_PRESSEDCONV(SUFFIX, OPS)                                            \
   namespace bitflow::kernels::detail {                                                          \
-  void conv_dot_##SUFFIX(const PackedTensor& in, const PackedFilterBank& filters,               \
-                         const ConvSpec& spec, runtime::ThreadPool& pool, Tensor& out) {        \
-    impl::conv_dot_impl<OPS>(in, filters, spec, pool, out);                                     \
-  }                                                                                             \
-  void conv_binarize_##SUFFIX(const PackedTensor& in, const PackedFilterBank& filters,          \
-                              const ConvSpec& spec, const float* thresholds,                    \
-                              runtime::ThreadPool& pool, PackedTensor& out,                     \
-                              std::int64_t margin) {                                            \
-    impl::conv_binarize_impl<OPS>(in, filters, spec, thresholds, pool, out, margin);            \
-  }                                                                                             \
   void conv_dot_batch_##SUFFIX(const PackedTensor* const* in, std::int64_t n,                   \
                                const PackedFilterBank& filters, const ConvSpec& spec,           \
                                runtime::ThreadPool& pool, Tensor* const* out) {                 \

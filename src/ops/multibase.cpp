@@ -77,7 +77,7 @@ MultiBaseConvOp::MultiBaseConvOp(const FilterBank& weights, int num_bases, std::
       isa_(options.force_isa.has_value()
                ? *options.force_isa
                : graph::select_isa(weights.channels(), simd::cpu_features(), options.policy)),
-      dot_fn_(kernels::conv_dot_kernel(isa_)) {
+      dot_fn_(kernels::conv_dot_batch_kernel(isa_)) {
   if (pad < 0) throw std::invalid_argument("MultiBaseConvOp: negative pad");
 }
 
@@ -101,8 +101,10 @@ void MultiBaseConvOp::run(const Tensor& in, runtime::ThreadPool& pool, Tensor& o
     base_out_ = Tensor::hwc(oh, ow, k);
   }
   out.zero();
+  const PackedTensor* in_ptr = &in_buf_;
+  Tensor* base_ptr = &base_out_;
   for (int m = 0; m < num_bases(); ++m) {
-    dot_fn_(in_buf_, mb_.bases[static_cast<std::size_t>(m)], spec_, pool, base_out_);
+    dot_fn_(&in_ptr, 1, mb_.bases[static_cast<std::size_t>(m)], spec_, pool, &base_ptr);
     const std::vector<float>& alpha = mb_.alphas[static_cast<std::size_t>(m)];
     float* dst = out.data();
     const float* src = base_out_.data();

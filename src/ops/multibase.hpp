@@ -65,7 +65,7 @@ class MultiBaseConvOp {
   std::int64_t pad_;
   MultiBaseFilters mb_;
   simd::IsaLevel isa_;
-  kernels::ConvDotFn dot_fn_;
+  kernels::ConvDotBatchFn dot_fn_;
   PackedTensor in_buf_;
   Tensor base_out_;
 };

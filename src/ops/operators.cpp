@@ -24,8 +24,8 @@ BinaryConvOp::BinaryConvOp(FilterBank weights, std::int64_t stride, std::int64_t
       pad_(pad),
       filters_(bitpack::pack_filters(weights)),
       isa_(pick_isa(weights.channels(), options)),
-      dot_fn_(kernels::conv_dot_kernel(isa_)),
-      bin_fn_(kernels::conv_binarize_kernel(isa_)) {
+      dot_fn_(kernels::conv_dot_batch_kernel(isa_)),
+      bin_fn_(kernels::conv_binarize_batch_kernel(isa_)) {
   if (pad < 0) throw std::invalid_argument("BinaryConvOp: negative pad");
 }
 
@@ -43,14 +43,18 @@ void BinaryConvOp::run(const Tensor& in, runtime::ThreadPool& pool, Tensor& out)
   if (out.height() != oh || out.width() != ow || out.channels() != filters_.num_filters()) {
     throw std::invalid_argument("BinaryConvOp: output mis-shaped");
   }
-  dot_fn_(in_buf_, filters_, spec_, pool, out);
+  const PackedTensor* in_ptr = &in_buf_;
+  Tensor* out_ptr = &out;
+  dot_fn_(&in_ptr, 1, filters_, spec_, pool, &out_ptr);
 }
 
 void BinaryConvOp::run_packed(const PackedTensor& in_padded, const float* thresholds,
                               runtime::ThreadPool& pool, PackedTensor& out,
                               std::int64_t margin) const {
   kernels::check_conv_args(in_padded, filters_, spec_);
-  bin_fn_(in_padded, filters_, spec_, thresholds, pool, out, margin);
+  const PackedTensor* in_ptr = &in_padded;
+  PackedTensor* out_ptr = &out;
+  bin_fn_(&in_ptr, 1, filters_, spec_, thresholds, pool, &out_ptr, margin);
 }
 
 // --- BinaryFcOp --------------------------------------------------------------
@@ -59,14 +63,14 @@ BinaryFcOp::BinaryFcOp(const float* w, std::int64_t n, std::int64_t k, BinaryOpO
     : n_(n),
       weights_(bitpack::pack_transpose_fc_weights(w, n, k)),
       isa_(pick_isa(n, options)),
-      dot_fn_(kernels::bgemm_kernel(isa_)),
+      dot_fn_(kernels::bgemm_rows_kernel(isa_)),
       x_buf_(1, n) {}
 
 void BinaryFcOp::run(const float* x, runtime::ThreadPool& pool, float* y) {
   // Fused binarize+pack of the activation row (bit64_u path).
   PackedMatrix packed = bitpack::pack_rows(x, 1, n_);
   x_buf_ = std::move(packed);
-  dot_fn_(x_buf_, weights_, pool, y);
+  dot_fn_(x_buf_, x_buf_.rows(), weights_, pool, y);
 }
 
 // --- BinaryPoolOp -------------------------------------------------------------

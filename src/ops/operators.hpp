@@ -59,8 +59,8 @@ class BinaryConvOp {
   std::int64_t pad_;
   PackedFilterBank filters_;
   simd::IsaLevel isa_;
-  kernels::ConvDotFn dot_fn_;
-  kernels::ConvBinarizeFn bin_fn_;
+  kernels::ConvDotBatchFn dot_fn_;
+  kernels::ConvBinarizeBatchFn bin_fn_;
   PackedTensor in_buf_;  // padded packed input, allocated on first run()
 };
 
@@ -82,7 +82,7 @@ class BinaryFcOp {
   std::int64_t n_;
   PackedMatrix weights_;
   simd::IsaLevel isa_;
-  kernels::BgemmFn dot_fn_;
+  kernels::BgemmRowsFn dot_fn_;
   PackedMatrix x_buf_;
 };
 

@@ -65,7 +65,10 @@ enum class DecisionSource : std::uint8_t {
 
 /// One committed execution-plan choice for a layer.
 struct Decision {
-  bool tiled = false;          ///< register-tiled kernel vs filter-major
+  /// Register-tiled plan.  Every plan the tuner emits is tiled; a false
+  /// entry can only come from a cache written while a filter-major
+  /// candidate still existed, and decision_valid() rejects it.
+  bool tiled = false;
   std::int64_t tile = 0;       ///< tile width T when tiled, 0 otherwise
   std::int64_t par_grain = 1;  ///< ConvSpec::par_grain (conv only; 1 = pixel split)
   DecisionSource source = DecisionSource::kDefault;

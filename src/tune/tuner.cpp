@@ -5,6 +5,7 @@
 
 #include "bitpack/packer.hpp"
 #include "core/ait.hpp"
+#include "core/check.hpp"
 #include "core/failpoint.hpp"
 #include "kernels/bgemm.hpp"
 #include "kernels/conv_spec.hpp"
@@ -47,13 +48,19 @@ Counters& counters() {
 
 /// One point of the search space.  par_grain only varies for conv layers.
 struct Candidate {
-  bool tiled = false;
   std::int64_t tile = 0;
   std::int64_t par_grain = 1;
 };
 
 bool same_plan(const Decision& a, const Candidate& b) {
-  return a.tiled == b.tiled && a.tile == b.tile && a.par_grain == b.par_grain;
+  return a.tile == b.tile && a.par_grain == b.par_grain;
+}
+
+/// Whether tile width `t` can run a layer of `k` outputs: it has at least
+/// one full tile, or it is the narrowest width (then every row takes the
+/// kernels' remainder loop).
+bool tile_fits(std::int64_t t, std::int64_t k, simd::IsaLevel isa) {
+  return k >= t || t == kernels::supported_tile_widths(isa).widths[0];
 }
 
 void fill_random(std::uint64_t* words, std::int64_t n, std::mt19937_64& rng) {
@@ -88,13 +95,12 @@ std::vector<Candidate> enumerate(const LayerWorkload& wl, bool shallow) {
     if (out_w > 1) grains.push_back(out_w);
   }
   std::vector<Candidate> out;
-  for (const std::int64_t g : grains) out.push_back({false, 0, g});
   const kernels::TileWidthSet widths = kernels::supported_tile_widths(wl.isa);
   for (std::int64_t i = 0; i < widths.count; ++i) {
     const std::int64_t t = widths.widths[static_cast<std::size_t>(i)];
-    if (wl.k < t) continue;          // tiling needs at least one full tile
+    if (!tile_fits(t, wl.k, wl.isa)) continue;
     if (shallow && t == 16) continue;  // widest tile only pays when compute-bound
-    for (const std::int64_t g : grains) out.push_back({true, t, g});
+    for (const std::int64_t g : grains) out.push_back({t, g});
   }
   return out;
 }
@@ -103,8 +109,8 @@ std::vector<Candidate> enumerate(const LayerWorkload& wl, bool shallow) {
 /// padded shapes, running the variant (dot vs fused binarize) the network
 /// will actually dispatch.  Returns best-of-N seconds.
 double measure_conv(const LayerWorkload& wl, const Candidate& cand, const PackedTensor& in,
-                    const PackedFilterBank& bank, const TiledFilterBank* tiled_bank,
-                    runtime::ThreadPool& pool, int min_iters, double min_total) {
+                    const TiledFilterBank& bank, runtime::ThreadPool& pool, int min_iters,
+                    double min_total) {
   kernels::ConvSpec spec{wl.kh, wl.kw, wl.stride};
   spec.par_grain = cand.par_grain;
   const std::int64_t out_h = spec.out_h(wl.in_h);
@@ -113,52 +119,60 @@ double measure_conv(const LayerWorkload& wl, const Candidate& cand, const Packed
   if (wl.fused_binarize) {
     PackedTensor out(out_h, out_w, wl.k);
     PackedTensor* out_ptrs[1] = {&out};
-    if (cand.tiled) {
-      const auto fn =
-          kernels::conv_binarize_tiled_batch_kernel(wl.isa, wl.vpopcnt, cand.tile);
-      return runtime::measure_best_seconds(
-          [&] { fn(in_ptrs, 1, *tiled_bank, spec, nullptr, pool, out_ptrs, 0); }, min_iters,
-          min_total);
-    }
-    const auto fn = kernels::conv_binarize_batch_kernel(wl.isa, wl.vpopcnt);
+    const auto fn = kernels::conv_binarize_tiled_batch_kernel(wl.isa, wl.vpopcnt, cand.tile);
     return runtime::measure_best_seconds(
         [&] { fn(in_ptrs, 1, bank, spec, nullptr, pool, out_ptrs, 0); }, min_iters, min_total);
   }
   Tensor out = Tensor::hwc(out_h, out_w, wl.k);
   Tensor* out_ptrs[1] = {&out};
-  if (cand.tiled) {
-    const auto fn = kernels::conv_dot_tiled_batch_kernel(wl.isa, wl.vpopcnt, cand.tile);
-    return runtime::measure_best_seconds(
-        [&] { fn(in_ptrs, 1, *tiled_bank, spec, pool, out_ptrs); }, min_iters, min_total);
-  }
-  const auto fn = kernels::conv_dot_batch_kernel(wl.isa, wl.vpopcnt);
+  const auto fn = kernels::conv_dot_tiled_batch_kernel(wl.isa, wl.vpopcnt, cand.tile);
   return runtime::measure_best_seconds([&] { fn(in_ptrs, 1, bank, spec, pool, out_ptrs); },
                                        min_iters, min_total);
 }
 
 double measure_fc(const LayerWorkload& wl, const Candidate& cand, const PackedMatrix& a,
-                  const PackedMatrix& w, const TiledBitMatrix* tiled_w,
-                  runtime::ThreadPool& pool, int min_iters, double min_total) {
+                  const TiledBitMatrix& w, runtime::ThreadPool& pool, int min_iters,
+                  double min_total) {
   if (wl.fused_binarize) {
     PackedMatrix out(1, wl.k);
-    if (cand.tiled) {
-      const auto fn = kernels::bgemm_binarize_rows_tiled_kernel(wl.isa, wl.vpopcnt, cand.tile);
-      return runtime::measure_best_seconds(
-          [&] { fn(a, 1, *tiled_w, nullptr, pool, out); }, min_iters, min_total);
-    }
-    const auto fn = kernels::bgemm_binarize_rows_kernel(wl.isa, wl.vpopcnt);
+    const auto fn = kernels::bgemm_binarize_rows_tiled_kernel(wl.isa, wl.vpopcnt, cand.tile);
     return runtime::measure_best_seconds([&] { fn(a, 1, w, nullptr, pool, out); }, min_iters,
                                          min_total);
   }
   std::vector<float> y(static_cast<std::size_t>(wl.k));
-  if (cand.tiled) {
-    const auto fn = kernels::bgemm_rows_tiled_kernel(wl.isa, wl.vpopcnt, cand.tile);
-    return runtime::measure_best_seconds([&] { fn(a, 1, *tiled_w, pool, y.data()); }, min_iters,
-                                         min_total);
-  }
-  const auto fn = kernels::bgemm_rows_kernel(wl.isa, wl.vpopcnt);
+  const auto fn = kernels::bgemm_rows_tiled_kernel(wl.isa, wl.vpopcnt, cand.tile);
   return runtime::measure_best_seconds([&] { fn(a, 1, w, pool, y.data()); }, min_iters,
                                        min_total);
+}
+
+/// The search's winner and its best-of-N seconds.
+struct Pick {
+  Candidate cand;
+  double seconds = -1.0;
+};
+
+/// Measures every candidate once with `measure(cand, iters, total)`, then
+/// confirms: leaving the static heuristic's plan `def` takes a win over it
+/// on a 3x repetition budget, beyond the noise margin.  A phantom
+/// quick-pass win must not flip the plan (and persist the flip).
+template <typename Measure>
+Pick pick(const std::vector<Candidate>& cands, const Decision& def, int min_iters,
+          double min_total, const Measure& measure) {
+  Pick best;
+  double def_s = -1.0;
+  for (const Candidate& cand : cands) {
+    BF_FAILPOINT("tune.search");
+    const double s = measure(cand, min_iters, min_total);
+    if (same_plan(def, cand)) def_s = s;
+    if (best.seconds < 0.0 || s < best.seconds) best = {cand, s};
+  }
+  if (def_s >= 0.0 && !same_plan(def, best.cand)) {
+    const Candidate def_cand{def.tile, def.par_grain};
+    const double cb = measure(best.cand, 2 * min_iters, 3.0 * min_total);
+    const double cd = measure(def_cand, 2 * min_iters, 3.0 * min_total);
+    best = cb > cd * (1.0 - kSwitchMargin) ? Pick{def_cand, cd} : Pick{best.cand, cb};
+  }
+  return best;
 }
 
 }  // namespace
@@ -179,23 +193,26 @@ Key key_for(const LayerWorkload& wl) {
   return key;
 }
 
-Decision default_decision(const LayerWorkload& wl, bool tile_weights) {
+Decision default_decision(const LayerWorkload& wl) {
   Decision d;
-  const std::int64_t tile = kernels::weight_tile_width(wl.isa);
-  if (tile_weights && wl.k >= tile) {
-    d.tiled = true;
-    d.tile = tile;
-  }
+  d.tiled = true;
+  d.tile = kernels::weight_tile_width(wl.isa);
+  if (!tile_fits(d.tile, wl.k, wl.isa)) d.tile = kernels::supported_tile_widths(wl.isa).widths[0];
   return d;
 }
 
-bool decision_valid(const Decision& d, const LayerWorkload& wl) {
-  if (d.par_grain < 1) return false;
-  if (!d.tiled) return d.tile == 0;
-  return kernels::supported_tile_widths(wl.isa).contains(d.tile) && wl.k >= d.tile;
+Decision default_decision(const LayerWorkload& wl, bool tile_weights) {
+  BF_CHECK(tile_weights, "default_decision: the filter-major plan was retired");
+  return default_decision(wl);
 }
 
-Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool, bool tile_weights) {
+bool decision_valid(const Decision& d, const LayerWorkload& wl) {
+  return d.tiled && d.par_grain >= 1 &&
+         kernels::supported_tile_widths(wl.isa).contains(d.tile) &&
+         tile_fits(d.tile, wl.k, wl.isa);
+}
+
+Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool) {
   Counters& c = counters();
   c.searches.add();
   try {
@@ -209,9 +226,10 @@ Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool, bool tile_we
     Decision best;
     best.source = DecisionSource::kSearch;
     best.candidates = static_cast<std::int32_t>(cands.size());
+    best.tiled = true;
     if (cands.size() == 1) {
-      // One executable plan (e.g. K < every tile width): nothing to measure.
-      best.tiled = cands[0].tiled;
+      // One executable plan (e.g. K below every tile width on one thread):
+      // nothing to measure.
       best.tile = cands[0].tile;
       best.par_grain = cands[0].par_grain;
       return best;
@@ -220,9 +238,8 @@ Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool, bool tile_we
     // Synthetic operands at the layer's exact shapes, deterministic so two
     // finalizes of the same network search identical data.
     std::mt19937_64 rng(0x42u);
-    const Decision def = default_decision(wl, tile_weights);
-    double best_s = -1.0, def_s = -1.0;
-    Candidate best_cand;
+    const Decision def = default_decision(wl);
+    Pick won;
     if (wl.kind == 0) {
       PackedTensor in(wl.in_h, wl.in_w, wl.c);
       fill_random(in.words(), in.num_words(), rng);
@@ -232,36 +249,14 @@ Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool, bool tile_we
       mask_tails(bank.words(), wl.k * wl.kh * wl.kw, bank.words_per_pixel(), wl.c);
       std::int64_t tiled_width = 0;  // the interleave is rebuilt per tile width
       TiledFilterBank tiled_bank;
-      const auto measure_cand = [&](const Candidate& cand, int iters, double total) {
-        if (cand.tiled && cand.tile != tiled_width) {
+      const auto measure = [&](const Candidate& cand, int iters, double total) {
+        if (cand.tile != tiled_width) {
           tiled_bank = bitpack::tile_filters(bank, cand.tile);
           tiled_width = cand.tile;
         }
-        return measure_conv(wl, cand, in, bank, &tiled_bank, pool, iters, total);
+        return measure_conv(wl, cand, in, tiled_bank, pool, iters, total);
       };
-      for (const Candidate& cand : cands) {
-        BF_FAILPOINT("tune.search");
-        const double s = measure_cand(cand, min_iters, min_total);
-        if (same_plan(def, cand)) def_s = s;
-        if (best_s < 0.0 || s < best_s) {
-          best_s = s;
-          best_cand = cand;
-        }
-      }
-      // Confirmation pass: leaving the static heuristic's plan takes a win
-      // over it on a 3x repetition budget, beyond the noise margin.  A
-      // phantom quick-pass win must not flip the plan (and persist the flip).
-      if (def_s >= 0.0 && !same_plan(def, best_cand)) {
-        const Candidate def_cand{def.tiled, def.tile, def.par_grain};
-        const double cb = measure_cand(best_cand, 2 * min_iters, 3.0 * min_total);
-        const double cd = measure_cand(def_cand, 2 * min_iters, 3.0 * min_total);
-        if (cb > cd * (1.0 - kSwitchMargin)) {
-          best_cand = def_cand;
-          best_s = cd;
-        } else {
-          best_s = cb;
-        }
-      }
+      won = pick(cands, def, min_iters, min_total, measure);
     } else {
       PackedMatrix a(1, wl.c);
       fill_random(a.words(), a.num_words(), rng);
@@ -271,51 +266,30 @@ Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool, bool tile_we
       mask_tails(w.words(), wl.k, w.words_per_row(), wl.c);
       std::int64_t tiled_width = 0;
       TiledBitMatrix tiled_w;
-      const auto measure_cand = [&](const Candidate& cand, int iters, double total) {
-        if (cand.tiled && cand.tile != tiled_width) {
+      const auto measure = [&](const Candidate& cand, int iters, double total) {
+        if (cand.tile != tiled_width) {
           tiled_w = bitpack::tile_fc_weights(w, cand.tile);
           tiled_width = cand.tile;
         }
-        return measure_fc(wl, cand, a, w, &tiled_w, pool, iters, total);
+        return measure_fc(wl, cand, a, tiled_w, pool, iters, total);
       };
-      for (const Candidate& cand : cands) {
-        BF_FAILPOINT("tune.search");
-        const double s = measure_cand(cand, min_iters, min_total);
-        if (same_plan(def, cand)) def_s = s;
-        if (best_s < 0.0 || s < best_s) {
-          best_s = s;
-          best_cand = cand;
-        }
-      }
-      // Same confirmation-pass hysteresis as the conv branch above.
-      if (def_s >= 0.0 && !same_plan(def, best_cand)) {
-        const Candidate def_cand{def.tiled, def.tile, def.par_grain};
-        const double cb = measure_cand(best_cand, 2 * min_iters, 3.0 * min_total);
-        const double cd = measure_cand(def_cand, 2 * min_iters, 3.0 * min_total);
-        if (cb > cd * (1.0 - kSwitchMargin)) {
-          best_cand = def_cand;
-          best_s = cd;
-        } else {
-          best_s = cb;
-        }
-      }
+      won = pick(cands, def, min_iters, min_total, measure);
     }
-    best.tiled = best_cand.tiled;
-    best.tile = best_cand.tile;
-    best.par_grain = best_cand.par_grain;
-    best.best_ms = best_s * 1e3;
+    best.tile = won.cand.tile;
+    best.par_grain = won.cand.par_grain;
+    best.best_ms = won.seconds * 1e3;
     c.search_ms.record(static_cast<std::int64_t>(search_timer.elapsed_ms()));
     return best;
   } catch (...) {
     // A fault mid-search (injected or real) must leave the layer on a valid
     // plan: the static default, exactly what an untuned finalize commits.
     c.fallback.add();
-    return default_decision(wl, tile_weights);
+    return default_decision(wl);
   }
 }
 
 Decision decide(const LayerWorkload& wl, TuneCache& cache, runtime::ThreadPool& pool,
-                bool tile_weights, bool* searched) {
+                bool* searched) {
   Counters& c = counters();
   if (searched != nullptr) *searched = false;
   const Key key = key_for(wl);
@@ -329,7 +303,7 @@ Decision decide(const LayerWorkload& wl, TuneCache& cache, runtime::ThreadPool& 
   }
   c.miss.add();
   if (searched != nullptr) *searched = true;
-  Decision d = search(wl, pool, tile_weights);
+  Decision d = search(wl, pool);
   // Fallback decisions are not persisted: the next finalize should re-try
   // the search rather than inherit a fault's shadow.
   if (d.source == DecisionSource::kSearch) cache.put(key, d);

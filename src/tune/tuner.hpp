@@ -2,11 +2,10 @@
 // graph/scheduler.hpp's analytical rules).
 //
 // The scheduler's channel-multiple rules pick the ISA; within an ISA the
-// repository still has real choices — filter-major vs register-tiled
-// kernels, the tile width T (supported_tile_widths), and the parallel-axis
-// grain of the fused H*W range — whose best setting depends on the layer's
-// shape in ways no closed-form rule captures (K < T makes tiling impossible,
-// small-C shapes hit the hoisted 3x3 specializations only in some variants,
+// register-tiled kernels still leave real choices — the tile width T
+// (supported_tile_widths) and the parallel-axis grain of the fused H*W
+// range — whose best setting depends on the layer's shape in ways no
+// closed-form rule captures (a K % T remainder runs the slower row path,
 // T = 16 needs enough independent work to cover its register pressure).
 //
 // search() measures every valid candidate on synthetic data of the layer's
@@ -51,30 +50,35 @@ struct LayerWorkload {
 /// The cache key identifying `wl` (kind, ISA variant, threads, full shape).
 [[nodiscard]] Key key_for(const LayerWorkload& wl);
 
-/// The static heuristic finalize() commits with tuning off — register-tiled
-/// at weight_tile_width(isa) when `tile_weights` allows and K is wide
-/// enough, filter-major otherwise.  Also the fallback when a search faults.
+/// The static heuristic finalize() commits with tuning off: register-tiled
+/// at weight_tile_width(isa), or at the narrowest supported width when K is
+/// below it (a layer with K below every width runs all its rows through the
+/// tiled kernels' remainder loop).  Also the fallback when a search faults.
+[[nodiscard]] Decision default_decision(const LayerWorkload& wl);
+
+/// Forwarding overload for perfbench/vgg_workload.cpp, its only caller:
+/// `tile_weights` must be true (there is no filter-major plan any more).
 [[nodiscard]] Decision default_decision(const LayerWorkload& wl, bool tile_weights);
 
-/// True when `d` is executable for `wl` as-is: the tile width has a kernel
-/// instantiation for wl.isa and K covers it.  Cached decisions must pass
-/// this before being committed — a stale entry falls back to re-search,
-/// never to a wrong plan.
+/// True when `d` is a plan search() can emit for `wl`: register-tiled, the
+/// tile width has a kernel instantiation for wl.isa and K covers it (or it
+/// is the narrowest width), grain >= 1.  Cached decisions must pass this
+/// before being committed — a stale entry (say, a filter-major plan cached
+/// before that candidate was retired) falls back to re-search, never to a
+/// wrong plan.
 [[nodiscard]] bool decision_valid(const Decision& d, const LayerWorkload& wl);
 
 /// Measures every valid candidate for `wl` on `pool` and returns the
 /// fastest (source = kSearch).  Never throws: any fault mid-search (see the
-/// tune.search failpoint) returns default_decision(wl, tile_weights) with
-/// source = kDefault instead.
-[[nodiscard]] Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool,
-                              bool tile_weights);
+/// tune.search failpoint) returns default_decision(wl) with source =
+/// kDefault instead.
+[[nodiscard]] Decision search(const LayerWorkload& wl, runtime::ThreadPool& pool);
 
 /// The finalize() entry point: cache lookup -> validation -> hit, else
 /// search + cache insert.  `searched` (optional) reports whether a live
 /// search ran — the caller persists the cache only if one did.  Telemetry:
 /// tune.cache_hit / tune.cache_miss count the outcomes.
 [[nodiscard]] Decision decide(const LayerWorkload& wl, TuneCache& cache,
-                              runtime::ThreadPool& pool, bool tile_weights,
-                              bool* searched = nullptr);
+                              runtime::ThreadPool& pool, bool* searched = nullptr);
 
 }  // namespace bitflow::tune

@@ -124,7 +124,8 @@ TEST(IsaParity, PressedConvDotAllVariants) {
     const std::int64_t oh = spec.out_h(s.h), ow = spec.out_w(s.w);
 
     Tensor ref = Tensor::hwc(oh, ow, s.k);
-    kernels::conv_dot_kernel(IsaLevel::kU64, false)(in, filters, spec, pool, ref);
+    testing::conv_dot_one(kernels::conv_dot_batch_kernel(IsaLevel::kU64, false), in, filters,
+                          spec, pool, ref);
     // The scalar kernel itself is pinned against the decoded naive conv once
     // per shape, so variant agreement is agreement with ground truth.
     const Tensor naive = testing::reference_binary_conv(in, filters, spec);
@@ -133,7 +134,8 @@ TEST(IsaParity, PressedConvDotAllVariants) {
 
     for (const IsaVariant& v : variants) {
       Tensor out = Tensor::hwc(oh, ow, s.k);
-      kernels::conv_dot_kernel(v.isa, v.use_vpopcntdq)(in, filters, spec, pool, out);
+      testing::conv_dot_one(kernels::conv_dot_batch_kernel(v.isa, v.use_vpopcntdq), in, filters,
+                            spec, pool, out);
       ASSERT_EQ(max_abs_diff(out, ref), 0.0f)
           << "kernel conv_dot[" << v.name << "] diverges from u64 reference, shape "
           << describe(s);
@@ -160,12 +162,12 @@ TEST(IsaParity, PressedConvBinarizeAllVariants) {
     for (auto& t : thresholds) t = tdist(trng);
 
     PackedTensor ref(oh + 2 * s.margin, ow + 2 * s.margin, s.k);
-    kernels::conv_binarize_kernel(IsaLevel::kU64, false)(in, filters, spec, thresholds.data(),
-                                                         pool, ref, s.margin);
+    testing::conv_binarize_one(kernels::conv_binarize_batch_kernel(IsaLevel::kU64, false), in,
+                               filters, spec, thresholds.data(), pool, ref, s.margin);
     for (const IsaVariant& v : variants) {
       PackedTensor out(oh + 2 * s.margin, ow + 2 * s.margin, s.k);
-      kernels::conv_binarize_kernel(v.isa, v.use_vpopcntdq)(in, filters, spec, thresholds.data(),
-                                                            pool, out, s.margin);
+      testing::conv_binarize_one(kernels::conv_binarize_batch_kernel(v.isa, v.use_vpopcntdq), in,
+                                 filters, spec, thresholds.data(), pool, out, s.margin);
       // Whole-buffer word compare: covers payload bits, tail-zero invariant,
       // and the untouched zero margin in one pass.
       for (std::int64_t i = 0; i < ref.num_words(); ++i) {
@@ -215,7 +217,7 @@ TEST(IsaParity, BgemmDotAllVariants) {
     fill_random_bits(w, seed++);
 
     std::vector<float> ref(static_cast<std::size_t>(s.m * s.k));
-    kernels::bgemm_kernel(IsaLevel::kU64, false)(a, w, pool, ref.data());
+    kernels::bgemm_rows_kernel(IsaLevel::kU64, false)(a, a.rows(), w, pool, ref.data());
     // Pin the scalar kernel to the decoded naive dot for a few entries.
     for (std::int64_t e = 0; e < std::min<std::int64_t>(s.m * s.k, 8); ++e) {
       const std::int64_t rm = e % s.m, rk = e % s.k;
@@ -227,7 +229,7 @@ TEST(IsaParity, BgemmDotAllVariants) {
 
     for (const IsaVariant& v : variants) {
       std::vector<float> y(static_cast<std::size_t>(s.m * s.k), -12345.0f);
-      kernels::bgemm_kernel(v.isa, v.use_vpopcntdq)(a, w, pool, y.data());
+      kernels::bgemm_rows_kernel(v.isa, v.use_vpopcntdq)(a, a.rows(), w, pool, y.data());
       for (std::int64_t i = 0; i < s.m * s.k; ++i) {
         ASSERT_EQ(y[static_cast<std::size_t>(i)], ref[static_cast<std::size_t>(i)])
             << "kernel bgemm[" << v.name << "] diverges from u64 at element (" << i / s.k
@@ -251,10 +253,12 @@ TEST(IsaParity, BgemmBinarizeAllVariants) {
     for (auto& t : thresholds) t = tdist(trng);
 
     PackedMatrix ref(s.m, s.k);
-    kernels::bgemm_binarize_kernel(IsaLevel::kU64, false)(a, w, thresholds.data(), pool, ref);
+    kernels::bgemm_binarize_rows_kernel(IsaLevel::kU64, false)(a, a.rows(), w, thresholds.data(),
+                                                               pool, ref);
     for (const IsaVariant& v : variants) {
       PackedMatrix out(s.m, s.k);
-      kernels::bgemm_binarize_kernel(v.isa, v.use_vpopcntdq)(a, w, thresholds.data(), pool, out);
+      kernels::bgemm_binarize_rows_kernel(v.isa, v.use_vpopcntdq)(a, a.rows(), w,
+                                                                  thresholds.data(), pool, out);
       for (std::int64_t i = 0; i < ref.num_words(); ++i) {
         ASSERT_EQ(out.words()[i], ref.words()[i])
             << "kernel bgemm_binarize[" << v.name << "] diverges from u64 at word " << i
@@ -295,8 +299,8 @@ TEST(IsaParity, PressedConvDotBatchMatchesSingleImageAllVariants) {
         // Reference: n independent single-image runs of the same variant.
         for (std::int64_t b = 0; b < n; ++b) {
           Tensor ref = Tensor::hwc(oh, ow, s.k);
-          kernels::conv_dot_kernel(v.isa, v.use_vpopcntdq)(in[static_cast<std::size_t>(b)],
-                                                           filters, spec, pool, ref);
+          testing::conv_dot_one(kernels::conv_dot_batch_kernel(v.isa, v.use_vpopcntdq),
+                                in[static_cast<std::size_t>(b)], filters, spec, pool, ref);
           ASSERT_EQ(max_abs_diff(out[static_cast<std::size_t>(b)], ref), 0.0f)
               << "kernel conv_dot_batch[" << v.name << "] image " << b << "/" << n
               << " diverges from its single-image run, shape " << describe(s);
@@ -341,9 +345,9 @@ TEST(IsaParity, PressedConvBinarizeBatchMatchesSingleImageAllVariants) {
           s.margin);
       for (std::int64_t b = 0; b < n; ++b) {
         PackedTensor ref(oh + 2 * s.margin, ow + 2 * s.margin, s.k);
-        kernels::conv_binarize_kernel(v.isa, v.use_vpopcntdq)(
-            in[static_cast<std::size_t>(b)], filters, spec, thresholds.data(), pool, ref,
-            s.margin);
+        testing::conv_binarize_one(kernels::conv_binarize_batch_kernel(v.isa, v.use_vpopcntdq),
+                                   in[static_cast<std::size_t>(b)], filters, spec,
+                                   thresholds.data(), pool, ref, s.margin);
         for (std::int64_t i = 0; i < ref.num_words(); ++i) {
           ASSERT_EQ(out[static_cast<std::size_t>(b)].words()[i], ref.words()[i])
               << "kernel conv_binarize_batch[" << v.name << "] image " << b
@@ -382,7 +386,7 @@ TEST(IsaParity, BgemmRowsMatchesFullAllVariants) {
     fill_random_bits(w, seed++);
 
     std::vector<float> full(static_cast<std::size_t>(rows * s.k));
-    kernels::bgemm_kernel(IsaLevel::kU64, false)(a, w, pool, full.data());
+    kernels::bgemm_rows_kernel(IsaLevel::kU64, false)(a, a.rows(), w, pool, full.data());
 
     for (const IsaVariant& v : variants) {
       std::vector<float> y(static_cast<std::size_t>(s.m * s.k), -777.0f);
@@ -411,7 +415,8 @@ TEST(IsaParity, BgemmBinarizeRowsMatchesFullAndLeavesTailUntouched) {
     for (auto& t : thresholds) t = tdist(trng);
 
     PackedMatrix full(rows, s.k);
-    kernels::bgemm_binarize_kernel(IsaLevel::kU64, false)(a, w, thresholds.data(), pool, full);
+    kernels::bgemm_binarize_rows_kernel(IsaLevel::kU64, false)(a, a.rows(), w, thresholds.data(),
+                                                               pool, full);
 
     for (const IsaVariant& v : variants) {
       PackedMatrix out(rows, s.k);

@@ -16,6 +16,7 @@
 #include "simd/parity.hpp"
 #include "telemetry/profiler.hpp"
 #include "tensor/util.hpp"
+#include "test_util.hpp"
 
 namespace bitflow::graph {
 namespace {
@@ -24,16 +25,98 @@ FilterBank random_filters(std::int64_t k, std::int64_t c, std::uint64_t seed) {
   return models::random_filters(k, 3, 3, c, seed);
 }
 
-/// conv(pad 1) -> pool(2x2) -> conv(pad 1) -> fc -> fc, a miniature VGG.
-BinaryNetwork make_small_net(NetworkConfig cfg) {
+using testing::RefLayer;
+
+RefLayer conv_layer(std::string name, FilterBank w, std::int64_t pad) {
+  RefLayer l;
+  l.kind = RefLayer::Kind::kConv;
+  l.name = std::move(name);
+  l.conv = std::move(w);
+  l.pad = pad;
+  return l;
+}
+
+RefLayer pool_layer(std::string name) {
+  RefLayer l;
+  l.kind = RefLayer::Kind::kPool;
+  l.name = std::move(name);
+  l.pool = kernels::PoolSpec{2, 2, 2};
+  return l;
+}
+
+RefLayer fc_layer(std::string name, std::int64_t n, std::int64_t k, std::uint64_t seed) {
+  RefLayer l;
+  l.kind = RefLayer::Kind::kFc;
+  l.name = std::move(name);
+  l.fc = models::random_fc_weights(n, k, seed);
+  l.fc_n = n;
+  l.fc_k = k;
+  return l;
+}
+
+/// Builds the engine's network from the same layers (and weights) that
+/// testing::reference_network_scores() composes.
+BinaryNetwork build_net(const std::vector<RefLayer>& layers, NetworkConfig cfg,
+                        TensorDesc input) {
   BinaryNetwork net(cfg);
-  net.add_conv("c1", random_filters(64, 16, 1), 1, 1);
-  net.add_maxpool("p1", kernels::PoolSpec{2, 2, 2});
-  net.add_conv("c2", random_filters(32, 64, 2), 1, 1);
-  net.add_fc("f1", models::random_fc_weights(8 * 8 * 32, 40, 3), 8 * 8 * 32, 40);
-  net.add_fc("f2", models::random_fc_weights(40, 10, 4), 40, 10);
-  net.finalize(TensorDesc{16, 16, 16});
+  for (const RefLayer& l : layers) {
+    switch (l.kind) {
+      case RefLayer::Kind::kConv:
+        net.add_conv(l.name, l.conv, l.stride, l.pad, l.thresholds);
+        break;
+      case RefLayer::Kind::kPool:
+        net.add_maxpool(l.name, l.pool);
+        break;
+      case RefLayer::Kind::kFc:
+        net.add_fc(l.name, l.fc, l.fc_n, l.fc_k, l.thresholds);
+        break;
+    }
+  }
+  net.finalize(input);
   return net;
+}
+
+/// conv(pad 1) -> pool(2x2) -> conv(pad 1) -> fc -> fc, a miniature VGG.
+std::vector<RefLayer> small_net_layers() {
+  return {conv_layer("c1", random_filters(64, 16, 1), 1), pool_layer("p1"),
+          conv_layer("c2", random_filters(32, 64, 2), 1),
+          fc_layer("f1", 8 * 8 * 32, 40, 3), fc_layer("f2", 40, 10, 4)};
+}
+
+BinaryNetwork make_small_net(NetworkConfig cfg) {
+  return build_net(small_net_layers(), cfg, TensorDesc{16, 16, 16});
+}
+
+/// Runs batches of N in {1, 2, 7, 16} fresh inputs through `net` and checks
+/// every image's scores bit for bit against the filter-major composition of
+/// the same layers.
+void expect_matches_reference(const BinaryNetwork& net, const std::vector<RefLayer>& layers,
+                              std::uint64_t seed) {
+  const TensorDesc d = net.input_desc();
+  const auto out = static_cast<std::size_t>(net.output_size());
+  InferenceContext ctx = net.make_context(16);
+  for (std::int64_t n : {1, 2, 7, 16}) {
+    std::vector<Tensor> inputs;
+    std::vector<const Tensor*> ptrs;
+    for (std::int64_t b = 0; b < n; ++b) {
+      Tensor t = Tensor::hwc(d.h, d.w, d.c);
+      fill_uniform(t, seed + static_cast<std::uint64_t>(n * 17 + b));
+      inputs.push_back(std::move(t));
+    }
+    for (const Tensor& t : inputs) ptrs.push_back(&t);
+    const auto scores = net.infer_batch(ptrs, ctx);
+    ASSERT_EQ(scores.size(), static_cast<std::size_t>(n) * out);
+    for (std::int64_t b = 0; b < n; ++b) {
+      const std::vector<float> want =
+          testing::reference_network_scores(layers, inputs[static_cast<std::size_t>(b)]);
+      ASSERT_EQ(want.size(), out);
+      for (std::size_t i = 0; i < out; ++i) {
+        ASSERT_EQ(scores[static_cast<std::size_t>(b) * out + i], want[i])
+            << "image " << b << " of n=" << n << " diverges from the filter-major reference"
+            << " at score " << i;
+      }
+    }
+  }
 }
 
 TEST(BinaryNetwork, ShapeInferenceAndLayerInfo) {
@@ -62,31 +145,8 @@ TEST(BinaryNetwork, InferMatchesManualComposition) {
   ASSERT_EQ(scores.size(), 10u);
 
   // Manual composition with the standalone kernels, same weights (seeds).
-  runtime::ThreadPool pool(1);
-  const FilterBank f1 = random_filters(64, 16, 1);
-  const FilterBank f2 = random_filters(32, 64, 2);
-  const auto w1 = models::random_fc_weights(8 * 8 * 32, 40, 3);
-  const auto w2 = models::random_fc_weights(40, 10, 4);
-
-  PackedTensor in0(18, 18, 16);
-  bitpack::pack_activations_into_interior(input, in0, 1);
-  const auto pf1 = bitpack::pack_filters(f1);
-  PackedTensor a1(16, 16, 64);
-  kernels::pressed_conv_binarize(in0, pf1, kernels::ConvSpec{3, 3, 1}, nullptr, pool, a1, 0);
-  PackedTensor a2(10, 10, 64);  // pool output with margin 1 for the next conv
-  kernels::binary_maxpool(a1, kernels::PoolSpec{2, 2, 2}, pool, a2, 1);
-  const auto pf2 = bitpack::pack_filters(f2);
-  PackedTensor a3(8, 8, 32);
-  kernels::pressed_conv_binarize(a2, pf2, kernels::ConvSpec{3, 3, 1}, nullptr, pool, a3, 0);
-  PackedMatrix flat(1, 8 * 8 * 32);
-  bitpack::flatten_packed(a3, flat);
-  const auto pw1 = bitpack::pack_transpose_fc_weights(w1.data(), 8 * 8 * 32, 40);
-  PackedMatrix h1(1, 40);
-  kernels::bgemm_binarize(flat, pw1, nullptr, pool, h1);
-  const auto pw2 = bitpack::pack_transpose_fc_weights(w2.data(), 40, 10);
-  std::vector<float> manual(10);
-  kernels::bgemm(h1, pw2, pool, manual.data());
-
+  const std::vector<float> manual = testing::reference_network_scores(small_net_layers(), input);
+  ASSERT_EQ(manual.size(), 10u);
   for (int i = 0; i < 10; ++i) {
     ASSERT_EQ(scores[static_cast<std::size_t>(i)], manual[static_cast<std::size_t>(i)]) << i;
   }
@@ -421,92 +481,41 @@ TEST(BinaryNetwork, BatchInferenceConvEndingNetworkEmitsDots) {
 
 TEST(BinaryNetwork, TiledAndUntiledNetworksBitExact) {
   // Same weights (seeds), same inputs: the interleaved-layout network must be
-  // bit-identical to the filter-major one for every batch size.
-  NetworkConfig tiled_cfg, plain_cfg;
-  tiled_cfg.num_threads = 3;
-  plain_cfg.num_threads = 3;
-  tiled_cfg.tile_weights = true;
-  plain_cfg.tile_weights = false;
-  BinaryNetwork tiled = make_small_net(tiled_cfg);
-  BinaryNetwork plain = make_small_net(plain_cfg);
-  InferenceContext tiled_ctx = tiled.make_context(7);
-  InferenceContext plain_ctx = plain.make_context(7);
+  // bit-identical to the filter-major composition for every batch size.
+  NetworkConfig cfg;
+  cfg.num_threads = 3;
+  const std::vector<RefLayer> layers = small_net_layers();
+  const BinaryNetwork net = build_net(layers, cfg, TensorDesc{16, 16, 16});
   // The re-layout is a permutation: identical weight footprint.
-  EXPECT_EQ(tiled.packed_weight_bytes(), plain.packed_weight_bytes());
-
-  for (std::int64_t n : {1, 2, 7}) {
-    std::vector<Tensor> inputs;
-    std::vector<const Tensor*> ptrs;
-    for (std::int64_t b = 0; b < n; ++b) {
-      Tensor t = Tensor::hwc(16, 16, 16);
-      fill_uniform(t, 7100 + static_cast<std::uint64_t>(n * 13 + b));
-      inputs.push_back(std::move(t));
-    }
-    for (const Tensor& t : inputs) ptrs.push_back(&t);
-    const auto st = tiled.infer_batch(ptrs, tiled_ctx);
-    const std::vector<float> tiled_scores(st.begin(), st.end());
-    const auto sp = plain.infer_batch(ptrs, plain_ctx);
-    ASSERT_EQ(tiled_scores.size(), sp.size());
-    for (std::size_t i = 0; i < sp.size(); ++i) {
-      ASSERT_EQ(tiled_scores[i], sp[i])
-          << "tiled network diverges from filter-major at score " << i << " (n=" << n << ")";
-    }
-  }
+  EXPECT_EQ(net.packed_weight_bytes(), testing::reference_weight_bytes(layers));
+  expect_matches_reference(net, layers, 7100);
 }
 
 /// conv(C = 3 -> 64, pad 1) -> pool -> conv(64 -> 20, pad 1) -> fc: a VGG
 /// front whose first conv folds its 3x3x3 = 27-bit window into one word.
-BinaryNetwork make_narrow_first_net(NetworkConfig cfg) {
-  BinaryNetwork net(cfg);
-  net.add_conv("c1", random_filters(64, 3, 31), 1, 1);
-  net.add_maxpool("p1", kernels::PoolSpec{2, 2, 2});
-  net.add_conv("c2", random_filters(20, 64, 32), 1, 1);
-  net.add_fc("f1", models::random_fc_weights(8 * 8 * 20, 10, 33), 8 * 8 * 20, 10);
-  net.finalize(TensorDesc{16, 16, 3});
-  return net;
+std::vector<RefLayer> narrow_first_layers() {
+  return {conv_layer("c1", random_filters(64, 3, 31), 1), pool_layer("p1"),
+          conv_layer("c2", random_filters(20, 64, 32), 1), fc_layer("f1", 8 * 8 * 20, 10, 33)};
 }
 
 TEST(BinaryNetwork, FoldedFirstLayerBitExactAgainstU64AndUntiled) {
-  NetworkConfig folded_cfg, u64_cfg, plain_cfg;
-  folded_cfg.num_threads = u64_cfg.num_threads = plain_cfg.num_threads = 3;
+  NetworkConfig folded_cfg, u64_cfg;
+  folded_cfg.num_threads = u64_cfg.num_threads = 3;
   folded_cfg.profile = true;
   u64_cfg.max_isa = simd::IsaLevel::kU64;
-  plain_cfg.tile_weights = false;
-  BinaryNetwork folded = make_narrow_first_net(folded_cfg);
-  BinaryNetwork u64 = make_narrow_first_net(u64_cfg);
-  BinaryNetwork plain = make_narrow_first_net(plain_cfg);
+  const std::vector<RefLayer> layers = narrow_first_layers();
+  const BinaryNetwork folded = build_net(layers, folded_cfg, TensorDesc{16, 16, 3});
+  const BinaryNetwork u64 = build_net(layers, u64_cfg, TensorDesc{16, 16, 3});
 
   EXPECT_TRUE(folded.layers()[0].folded_window);
   EXPECT_TRUE(u64.layers()[0].folded_window);
-  EXPECT_FALSE(plain.layers()[0].folded_window);  // untiled layers never fold
   EXPECT_FALSE(folded.layers()[2].folded_window);  // C = 64: 576 bits
   // The folded conv1 stores one word per filter instead of nine.
-  EXPECT_EQ(plain.packed_weight_bytes() - folded.packed_weight_bytes(), 64 * (9 - 1) * 8);
+  EXPECT_EQ(testing::reference_weight_bytes(layers) - folded.packed_weight_bytes(),
+            64 * (9 - 1) * 8);
 
-  InferenceContext folded_ctx = folded.make_context(16);
-  InferenceContext u64_ctx = u64.make_context(16);
-  InferenceContext plain_ctx = plain.make_context(16);
-  for (std::int64_t n : {1, 2, 7, 16}) {
-    std::vector<Tensor> inputs;
-    std::vector<const Tensor*> ptrs;
-    for (std::int64_t b = 0; b < n; ++b) {
-      Tensor t = Tensor::hwc(16, 16, 3);
-      fill_uniform(t, 8100 + static_cast<std::uint64_t>(n * 17 + b));
-      inputs.push_back(std::move(t));
-    }
-    for (const Tensor& t : inputs) ptrs.push_back(&t);
-    const auto sf = folded.infer_batch(ptrs, folded_ctx);
-    const std::vector<float> scores(sf.begin(), sf.end());
-    const auto su = u64.infer_batch(ptrs, u64_ctx);
-    const std::vector<float> u64_scores(su.begin(), su.end());
-    const auto sp = plain.infer_batch(ptrs, plain_ctx);
-    ASSERT_EQ(scores.size(), sp.size());
-    ASSERT_EQ(scores.size(), u64_scores.size());
-    for (std::size_t i = 0; i < sp.size(); ++i) {
-      ASSERT_EQ(scores[i], u64_scores[i]) << "vs max_isa=u64 at score " << i << " (n=" << n << ")";
-      ASSERT_EQ(scores[i], sp[i]) << "vs tile_weights=false at score " << i << " (n=" << n << ")";
-    }
-  }
+  expect_matches_reference(folded, layers, 8100);
+  expect_matches_reference(u64, layers, 8100);
 
   // The profile names the plan that ran: ",fold" on conv1 only.  GOPS
   // stays counted on the logical 3x3x3 window.
@@ -518,87 +527,43 @@ TEST(BinaryNetwork, FoldedFirstLayerBitExactAgainstU64AndUntiled) {
 }
 
 TEST(BinaryNetwork, LayerInfoReportsWeightLayout) {
-  NetworkConfig on, off;
-  on.tile_weights = true;
-  off.tile_weights = false;
-  BinaryNetwork tiled = make_small_net(on);
-  BinaryNetwork plain = make_small_net(off);
-  // Every conv/fc of the small net has K >= 8 >= any tile width, so all get
-  // the interleaved layout; the pool has no weights and stays filter-major.
-  for (const LayerInfo& l : tiled.layers()) {
+  const BinaryNetwork net = make_small_net({});
+  // Every conv/fc runs the interleaved layout at its ISA's default width
+  // (K >= 8 here); the pool has no weights and reports filter-major, tile 0.
+  for (const LayerInfo& l : net.layers()) {
     const bool has_weights = l.kind != LayerKind::kPool;
     EXPECT_EQ(l.layout == kernels::WeightLayout::kInterleaved, has_weights) << l.name;
-  }
-  for (const LayerInfo& l : plain.layers()) {
-    EXPECT_EQ(l.layout, kernels::WeightLayout::kFilterMajor) << l.name;
+    EXPECT_EQ(l.tile, has_weights ? kernels::weight_tile_width(l.isa) : 0) << l.name;
   }
   EXPECT_STREQ(kernels::weight_layout_name(kernels::WeightLayout::kInterleaved), "interleaved");
 }
 
-TEST(BinaryNetwork, TinyLayerFallsBackToFilterMajor) {
-  // K = 3 is below every tile width (4 and 8): finalize must keep the
-  // filter-major kernels even with tiling enabled, and still be bit-exact
-  // against an explicitly untiled build.
-  auto build = [](bool tile) {
-    NetworkConfig cfg;
-    cfg.tile_weights = tile;
-    BinaryNetwork net(cfg);
-    net.add_conv("c", random_filters(3, 16, 41), 1, 0);
-    net.add_fc("f", models::random_fc_weights(6 * 6 * 3, 3, 42), 6 * 6 * 3, 3);
-    net.finalize(TensorDesc{8, 8, 16});
-    return net;
-  };
-  BinaryNetwork tiled = build(true);
-  BinaryNetwork plain = build(false);
-  for (const LayerInfo& l : tiled.layers()) {
-    EXPECT_EQ(l.layout, kernels::WeightLayout::kFilterMajor) << l.name;
+TEST(BinaryNetwork, TinyLayerRunsNarrowestTile) {
+  // K = 3 is below every tile width: finalize takes the narrowest one (4),
+  // whose kernels run all three rows through their remainder loop, and the
+  // result stays bit-exact against the filter-major composition.
+  NetworkConfig cfg;
+  const std::vector<RefLayer> layers = {conv_layer("c", random_filters(3, 16, 41), 0),
+                                        fc_layer("f", 6 * 6 * 3, 3, 42)};
+  const BinaryNetwork net = build_net(layers, cfg, TensorDesc{8, 8, 16});
+  for (const LayerInfo& l : net.layers()) {
+    EXPECT_EQ(l.layout, kernels::WeightLayout::kInterleaved) << l.name;
+    EXPECT_EQ(l.tile, 4) << l.name;
   }
-  Tensor input = Tensor::hwc(8, 8, 16);
-  fill_uniform(input, 43);
-  const auto st = tiled.infer(input);
-  const std::vector<float> ts(st.begin(), st.end());
-  const auto sp = plain.infer(input);
-  ASSERT_EQ(ts.size(), sp.size());
-  for (std::size_t i = 0; i < sp.size(); ++i) ASSERT_EQ(ts[i], sp[i]) << i;
+  expect_matches_reference(net, layers, 4300);
 }
 
 TEST(BinaryNetwork, TiledRemainderLayerBitExact) {
   // K = 13 and fc outputs 11/5: K % T != 0 for both tile widths, so the
   // remainder (filter-major) rows of the interleaved banks are exercised
   // end-to-end through infer_batch.
-  auto build = [](bool tile) {
-    NetworkConfig cfg;
-    cfg.num_threads = 2;
-    cfg.tile_weights = tile;
-    BinaryNetwork net(cfg);
-    net.add_conv("c1", random_filters(13, 16, 51), 1, 1);
-    net.add_fc("f1", models::random_fc_weights(8 * 8 * 13, 11, 52), 8 * 8 * 13, 11);
-    net.add_fc("f2", models::random_fc_weights(11, 5, 53), 11, 5);
-    net.finalize(TensorDesc{8, 8, 16});
-    return net;
-  };
-  BinaryNetwork tiled = build(true);
-  BinaryNetwork plain = build(false);
-  InferenceContext tiled_ctx = tiled.make_context(7);
-  InferenceContext plain_ctx = plain.make_context(7);
-  for (std::int64_t n : {1, 2, 7}) {
-    std::vector<Tensor> inputs;
-    std::vector<const Tensor*> ptrs;
-    for (std::int64_t b = 0; b < n; ++b) {
-      Tensor t = Tensor::hwc(8, 8, 16);
-      fill_uniform(t, 5400 + static_cast<std::uint64_t>(n * 17 + b));
-      inputs.push_back(std::move(t));
-    }
-    for (const Tensor& t : inputs) ptrs.push_back(&t);
-    const auto st = tiled.infer_batch(ptrs, tiled_ctx);
-    const std::vector<float> ts(st.begin(), st.end());
-    const auto sp = plain.infer_batch(ptrs, plain_ctx);
-    ASSERT_EQ(ts.size(), sp.size());
-    for (std::size_t i = 0; i < sp.size(); ++i) {
-      ASSERT_EQ(ts[i], sp[i]) << "remainder-path divergence at score " << i << " (n=" << n
-                              << ")";
-    }
-  }
+  NetworkConfig cfg;
+  cfg.num_threads = 2;
+  const std::vector<RefLayer> layers = {conv_layer("c1", random_filters(13, 16, 51), 1),
+                                        fc_layer("f1", 8 * 8 * 13, 11, 52),
+                                        fc_layer("f2", 11, 5, 53)};
+  const BinaryNetwork net = build_net(layers, cfg, TensorDesc{8, 8, 16});
+  expect_matches_reference(net, layers, 5400);
 }
 
 TEST(BinaryNetwork, ContextAndBatchArgumentValidation) {

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../bench/common.hpp"
 #include "bitpack/packer.hpp"
 #include "graph/network.hpp"
 #include "io/model.hpp"
@@ -128,18 +129,22 @@ TEST(TunerUnit, KeyForCapturesFullWorkloadIdentity) {
 TEST(TunerUnit, DefaultDecisionMirrorsStaticHeuristic) {
   for (const simd::IsaLevel isa : simd::supported_isa_levels()) {
     const std::int64_t t = kernels::weight_tile_width(isa);
-    const Decision wide = default_decision(conv_workload(isa, /*k=*/64), true);
+    const Decision wide = default_decision(conv_workload(isa, /*k=*/64));
     EXPECT_TRUE(wide.tiled) << simd::isa_name(isa);
     EXPECT_EQ(wide.tile, t) << simd::isa_name(isa);
     EXPECT_EQ(wide.par_grain, 1);
     EXPECT_EQ(wide.source, DecisionSource::kDefault);
 
-    // K below the tile width, or tiling disabled: filter-major.
-    const Decision narrow = default_decision(conv_workload(isa, t - 1), true);
-    EXPECT_FALSE(narrow.tiled) << simd::isa_name(isa);
-    EXPECT_EQ(narrow.tile, 0);
-    const Decision off = default_decision(conv_workload(isa, 64), false);
-    EXPECT_FALSE(off.tiled) << simd::isa_name(isa);
+    // K below the default width, even below every width: the narrowest
+    // tile (4), whose remainder loop runs the rows a full tile cannot.
+    for (const std::int64_t k : {t - 1, std::int64_t{3}, std::int64_t{1}}) {
+      const Decision narrow = default_decision(conv_workload(isa, k));
+      EXPECT_TRUE(narrow.tiled) << simd::isa_name(isa) << " k=" << k;
+      EXPECT_EQ(narrow.tile, 4) << simd::isa_name(isa) << " k=" << k;
+      EXPECT_TRUE(decision_valid(narrow, conv_workload(isa, k))) << simd::isa_name(isa);
+    }
+    // The forwarding overload (kept for perfbench) agrees.
+    EXPECT_EQ(default_decision(conv_workload(isa, 64), true).tile, t);
   }
 }
 
@@ -153,12 +158,39 @@ TEST(TunerUnit, DecisionValidRejectsPlansTheLayerCannotRun) {
   EXPECT_TRUE(decision_valid(d, wl));
   d.tile = 8;  // K = 6 cannot fill a tile of 8
   EXPECT_FALSE(decision_valid(d, conv_workload(simd::IsaLevel::kU64, 6)));
-  d.tiled = false;
-  d.tile = 0;
+  d.tile = 4;  // ... but the narrowest width runs any K, even K = 2
+  EXPECT_TRUE(decision_valid(d, conv_workload(simd::IsaLevel::kU64, 6)));
+  EXPECT_TRUE(decision_valid(d, conv_workload(simd::IsaLevel::kU64, 2)));
   d.par_grain = 0;  // grains start at 1
   EXPECT_FALSE(decision_valid(d, wl));
   d.par_grain = 4;
   EXPECT_TRUE(decision_valid(d, wl));
+  // tiled = false is invalid: there is no filter-major plan to commit.
+  d.tiled = false;
+  d.tile = 0;
+  d.par_grain = 1;
+  EXPECT_FALSE(decision_valid(d, wl));
+}
+
+TEST(TunerUnit, SearchNeverReturnsAnUntiledPlan) {
+  // The tuner-sweep shapes (bench/common.hpp) plus K = 2, below every tile
+  // width, on every host ISA level: the searched plan is always tiled.
+  std::vector<bench::TuneSweepShape> shapes = bench::tune_sweep_shapes();
+  shapes.push_back({"3x3_c64_k2_hw16", 18, 64, 2, 3});
+  runtime::ThreadPool pool(1);
+  for (const simd::IsaLevel isa : simd::supported_isa_levels()) {
+    for (const bench::TuneSweepShape& s : shapes) {
+      LayerWorkload wl = conv_workload(isa, s.k);
+      wl.in_h = wl.in_w = s.in;
+      wl.c = s.c;
+      wl.kh = wl.kw = s.kernel;
+      const Decision d = search(wl, pool);
+      EXPECT_EQ(d.source, DecisionSource::kSearch) << s.label << " " << simd::isa_name(isa);
+      EXPECT_TRUE(d.tiled) << s.label << " " << simd::isa_name(isa);
+      EXPECT_TRUE(decision_valid(d, wl)) << s.label << " " << simd::isa_name(isa) << " tile "
+                                         << d.tile;
+    }
+  }
 }
 
 // --- parity: tuned == untuned on every host ISA level -----------------------
@@ -255,7 +287,9 @@ TEST(TunerCache, WarmFinalizeTakesEveryDecisionFromDiskWithoutSearching) {
 TEST(TunerCache, StaleEntryIsReSearchedNeverCommitted) {
   const CacheFileGuard cache(temp_cache_path("stale"));
   // Forge a cache whose entry for c1 under max_isa=u64 demands T=16 — a
-  // kernel that does not exist at u64.  decide() must reject it and search.
+  // kernel that does not exist at u64 — and whose entry for c2 is an
+  // untiled (filter-major) plan, which a cache written before that
+  // candidate was retired can hold.  decide() must reject both and search.
   LayerWorkload wl = conv_workload(simd::IsaLevel::kU64, /*k=*/64);
   wl.c = 16;
   Decision bogus;
@@ -264,8 +298,15 @@ TEST(TunerCache, StaleEntryIsReSearchedNeverCommitted) {
   bogus.par_grain = 1;
   bogus.source = DecisionSource::kSearch;
   bogus.candidates = 1;
+  LayerWorkload wl2 = conv_workload(simd::IsaLevel::kU64, /*k=*/32);
+  wl2.in_h = wl2.in_w = 10;  // c2 reads the pooled 8x8 map plus its pad-1 margin
+  wl2.c = 64;
+  Decision untiled;
+  untiled.source = DecisionSource::kSearch;
+  untiled.candidates = 3;
   TuneCache forged;
   forged.put(key_for(wl), bogus);
+  forged.put(key_for(wl2), untiled);
   ASSERT_TRUE(forged.save(cache.path()));
 
   NetworkConfig cfg;
@@ -275,20 +316,25 @@ TEST(TunerCache, StaleEntryIsReSearchedNeverCommitted) {
   const BinaryNetwork net = make_net(cfg);
   const auto& c1 = net.layers()[0];
   EXPECT_EQ(c1.tune_source, "search");                  // not "cache"
-  EXPECT_TRUE(c1.tile == 0 || c1.tile == 4 || c1.tile == 8) << c1.tile;
+  EXPECT_TRUE(c1.tile == 4 || c1.tile == 8) << c1.tile;
+  const auto& c2 = net.layers()[2];
+  EXPECT_EQ(c2.tune_source, "search");                  // not "cache"
+  EXPECT_TRUE(c2.tile == 4 || c2.tile == 8) << c2.tile;
 }
 
 TEST(TunerCache, SchemaOneFileIsIgnoredAndLayerReSearched) {
-  // Schema 1 predates folded-window banks: a narrow first layer cached as
-  // "untiled" then must be re-searched now, not pinned to the slow plan.
+  // Schema 1 predates folded-window banks: a narrow first layer's plan
+  // measured then must be re-searched now, not pinned to the old verdict.
   EXPECT_EQ(kCacheSchemaVersion, 2u);
   LayerWorkload wl = conv_workload(simd::IsaLevel::kU64, /*k=*/16);
   wl.c = 3;
-  Decision untiled;
-  untiled.source = DecisionSource::kSearch;
-  untiled.candidates = 3;
+  Decision cached;
+  cached.tiled = true;
+  cached.tile = 8;  // not the u64 default (4), so a hit is visible in the plan
+  cached.source = DecisionSource::kSearch;
+  cached.candidates = 2;
   TuneCache forged;
-  forged.put(key_for(wl), untiled);
+  forged.put(key_for(wl), cached);
   const std::string current = forged.serialize();
   std::string schema1 = current;
   const std::uint32_t old_schema = 1;  // header: magic | format | schema | ...
@@ -317,7 +363,7 @@ TEST(TunerCache, SchemaOneFileIsIgnoredAndLayerReSearched) {
   // forged key matches the live layer.
   const graph::LayerInfo hit = finalize_with(cache.path(), current);
   EXPECT_EQ(hit.tune_source, "cache");
-  EXPECT_EQ(hit.tile, 0);
+  EXPECT_EQ(hit.tile, 8);
   const graph::LayerInfo stale = finalize_with(cache.path(), schema1);
   EXPECT_EQ(stale.tune_source, "search");
 }
@@ -360,14 +406,12 @@ TEST(TunerIntrospection, LayerInfoAndProfileReportCarryTheCommittedPlan) {
   for (const auto& l : net.layers()) {
     if (l.kind != graph::LayerKind::kConv && l.kind != graph::LayerKind::kFc) continue;
     EXPECT_TRUE(l.tune_source == "search" || l.tune_source == "cache") << l.name;
-    if (l.tile > 0) {
-      // Tiled winner: the committed width is visible in the kernel string.
-      EXPECT_NE(report.find(",t" + std::to_string(l.tile)), std::string::npos)
-          << l.name << " tile " << l.tile << " missing from:\n" << report;
-      EXPECT_EQ(l.layout, kernels::WeightLayout::kInterleaved) << l.name;
-    } else {
-      EXPECT_EQ(l.layout, kernels::WeightLayout::kFilterMajor) << l.name;
-    }
+    // Every winner is tiled: the committed width is visible in the kernel
+    // string.
+    EXPECT_GT(l.tile, 0) << l.name;
+    EXPECT_NE(report.find(",t" + std::to_string(l.tile)), std::string::npos)
+        << l.name << " tile " << l.tile << " missing from:\n" << report;
+    EXPECT_EQ(l.layout, kernels::WeightLayout::kInterleaved) << l.name;
     EXPECT_GE(l.par_grain, 1) << l.name;
   }
 }
