@@ -155,9 +155,9 @@ void BM_TraceSpanArmed(benchmark::State& state) {
   std::remove("/tmp/bitflow_bench_micro_trace.json");
 }
 
-// Same discipline for the flight recorder's event log: disarmed must be one
-// relaxed atomic load (CI gates <= 5 ns), armed is a lock-free seqlock slot
-// claim.
+// Same discipline for the flight recorder's breadcrumbs: disarmed must be
+// one relaxed atomic load (CI gates <= 5 ns), armed is one seqlock slot
+// write in the calling thread's trace ring.
 void BM_FlightEventDisarmed(benchmark::State& state) {
   for (auto _ : state) {
     telemetry::flight_event("bench", "disarmed overhead probe");
@@ -279,9 +279,10 @@ void emit_telemetry_bench_json() {
   std::remove("/tmp/bitflow_bench_micro_trace.json");
   const double armed_ns = std::max(0.0, armed_raw - baseline);
 
-  // Flight-recorder event log, the always-on black box: disarmed must stay
+  // Flight-recorder breadcrumbs, the always-on black box: disarmed must stay
   // within the 5 ns budget CI gates (one relaxed load + predicted branch);
-  // armed is reported for context (lock-free seqlock slot claim).
+  // armed is reported for context (one seqlock slot write in the calling
+  // thread's overwrite-oldest trace ring).
   const double flight_disarmed_ns =
       std::max(0.0, median_ns_per_iter([] {
                  telemetry::flight_event("bench", "overhead probe");

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -68,13 +67,10 @@ std::string next_engine_label() {
 
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
 
-/// Lifecycle transition breadcrumb: one trace instant + one flight event.
-/// Both sinks copy the name, and both are lock-free, so this is safe from
-/// any engine path (including under mu_).
+/// Lifecycle transition breadcrumb.  The flight event is a lock-free trace
+/// instant that copies its detail, so this is safe from any engine path
+/// (including under mu_).
 void note_state(const char* state_name) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "lifecycle:%s", state_name);
-  telemetry::trace_instant(buf, "lifecycle");
   telemetry::flight_event("lifecycle", state_name);
 }
 
@@ -376,7 +372,6 @@ struct Engine::Impl {
   /// re-probe with real traffic.
   void quarantine() BF_EXCLUDES(mu_) {
     quarantines.add();
-    telemetry::trace_instant("quarantine", "lifecycle");
     telemetry::flight_event("quarantine", "worker circuit breaker tripped");
     // Trigger BEFORE taking mu_: bundle context providers may re-enter the
     // engine (stats() under a /varz section takes mu_).
@@ -801,7 +796,6 @@ void Engine::Impl::do_submit(Request r, std::chrono::milliseconds deadline) {
     if (do_shed) {
       im.shed.add();
       im.rejected.add();
-      telemetry::trace_instant("shed", "lifecycle", r.meta.rid);
       telemetry::flight_event("shed", "overload control rejected a request",
                               r.meta.rid);
       deliver(r, Status{

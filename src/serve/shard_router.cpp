@@ -44,13 +44,12 @@ std::uint64_t next_rand() {
   return state;
 }
 
-/// Router lifecycle breadcrumb: one trace instant + one flight event (both
-/// sinks copy the name; both are lock-free, safe under mu_).
+/// Router lifecycle breadcrumb: a lock-free trace instant that copies its
+/// detail, safe under mu_.
 void note_router_state(const char* state_name) {
   char buf[48];
-  std::snprintf(buf, sizeof buf, "lifecycle:router-%s", state_name);
-  telemetry::trace_instant(buf, "lifecycle");
-  telemetry::flight_event("lifecycle", buf + sizeof("lifecycle:") - 1);
+  std::snprintf(buf, sizeof buf, "router-%s", state_name);
+  telemetry::flight_event("lifecycle", buf);
 }
 
 }  // namespace

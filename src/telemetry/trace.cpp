@@ -17,59 +17,64 @@ namespace bitflow::telemetry {
 
 namespace {
 
-struct TraceEvent {
-  /// Span names are COPIED into the slot (truncated to kNameCap-1 chars):
-  /// layer/kernel names point into network internals that may be destroyed
-  /// before the atexit flush of a BITFLOW_TRACE session.  Categories are
-  /// required to be string literals (see trace.hpp), so the pointer is kept.
-  static constexpr std::size_t kNameCap = 48;
-  char name[kNameCap];
-  const char* cat;
-  std::uint64_t start_ns;
-  std::uint64_t end_ns;
-  std::int64_t arg;   // >= 0: recorded as args.n
-  std::uint64_t rid;  // != 0: recorded as args.rid (wire request id)
-  std::uint64_t id;   // async pair id; kIdNone = synchronous
-  char ph;            // 'X' complete span, 'a' async pair, 'i' instant
-  static constexpr std::uint64_t kIdNone = UINT64_MAX;
+constexpr std::size_t kNameCap = 48;    // span names keep 47 chars
+constexpr std::size_t kDetailCap = 96;  // flight details keep 95 chars
+constexpr std::size_t kTextWords = (kNameCap + kDetailCap) / 8;
+
+/// One ring slot.  Span names are COPIED in (layer/kernel names point into
+/// network internals that may be destroyed before the atexit flush of a
+/// BITFLOW_TRACE session); categories are string literals, so the pointer
+/// is kept.
+struct TraceSlot {
+  // Ordering contract: single-writer seqlock.  The owning thread writing
+  // its record i stores seq = 2i+1 (relaxed) and fences release, stores the
+  // payload relaxed, then publishes with a release store of 2i+2.  A reader
+  // acquire-loads seq, which must be exactly 2i+2 for the record it wants,
+  // copies the payload relaxed, fences acquire and re-reads seq: a changed
+  // value means the owner overwrote the slot mid-copy and it is skipped.
+  std::atomic<std::uint64_t> seq{0};
+  // Ordering contract: payload, relaxed under the seq protocol above (every
+  // field is atomic, so a torn read is defined and discarded, never a race).
+  std::atomic<std::uint64_t> start_ns{0};
+  std::atomic<std::uint64_t> end_ns{0};
+  std::atomic<std::uint64_t> rid{0};
+  std::atomic<std::uint64_t> arg{0};  // args.n for 'X', the pair id for 'a'
+  std::atomic<const char*> cat{nullptr};
+  std::atomic<std::uint8_t> text_len{0};  // bytes of `text` in use
+  std::atomic<char> ph{'X'};              // 'X' complete, 'a' async, 'i' instant
+  // Ordering contract: relaxed, as above — name '\0' [detail '\0'], eight
+  // bytes per word.
+  std::atomic<std::uint64_t> text[kTextWords];
 };
 
-/// One thread's event ring.  Single writer (the owning thread); the flusher
-/// reads slots below the acquired size, which the writer published with a
-/// release store after filling the slot — so every read slot is immutable.
-struct ThreadRing {
-  explicit ThreadRing(std::size_t capacity, std::uint32_t tid)
-      : slots(capacity), tid(tid) {}
-  std::vector<TraceEvent> slots;
-  // Ordering contract: the writer fills slots[n] then publishes with a
-  // release store of size; the flusher's acquire load of size makes every
-  // published slot visible (resets and the overflow check are relaxed —
-  // they synchronize through the trace mutex or order nothing).  dropped is
-  // a relaxed tally.
-  std::atomic<std::uint32_t> size{0};
-  std::atomic<std::uint64_t> dropped{0};
-  std::uint32_t tid;
+// Ordering contract: relaxed.  The armed session's per-thread capacity,
+// written under the trace mutex; an owner that sees a value different from
+// its ring's re-sizes the ring under that mutex, so nothing is published
+// through this load.
+std::atomic<std::size_t> g_ring_capacity{1 << 16};
 
-  void push(const char* name, const char* cat, std::uint64_t start_ns,
-            std::uint64_t end_ns, std::int64_t arg, std::uint64_t rid,
-            std::uint64_t id, char ph) noexcept {
-    const std::uint32_t n = size.load(std::memory_order_relaxed);
-    if (n >= slots.size()) {
-      dropped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    TraceEvent& ev = slots[n];
-    std::strncpy(ev.name, name, TraceEvent::kNameCap - 1);
-    ev.name[TraceEvent::kNameCap - 1] = '\0';
-    ev.cat = cat;
-    ev.start_ns = start_ns;
-    ev.end_ns = end_ns;
-    ev.arg = arg;
-    ev.rid = rid;
-    ev.id = id;
-    ev.ph = ph;
-    size.store(n + 1, std::memory_order_release);
-  }
+/// One thread's overwrite-oldest ring.
+struct ThreadRing {
+  ThreadRing(std::size_t cap, std::uint32_t tid)
+      : slots(new TraceSlot[cap]), capacity(cap), tid(tid) {}
+
+  // `slots` and `capacity` change only on the owning thread, under the
+  // trace mutex (resize below); every other reader holds that mutex.
+  std::unique_ptr<TraceSlot[]> slots;
+  std::size_t capacity;
+  // Ordering contract: written only by the owning thread — relaxed load,
+  // release store after the slot's seqlock publish (resets happen under
+  // the trace mutex).  Readers acquire-load it as the scan bound; each
+  // slot's seqlock orders its own payload.
+  std::atomic<std::uint64_t> head{0};
+  std::size_t pos = 0;      // head % capacity; owning thread only
+  std::uint64_t floor = 0;  // head when the session armed; trace mutex
+  const std::uint32_t tid;
+
+  void push(const char* name, const char* detail, const char* cat,
+            std::uint64_t start, std::uint64_t end, std::uint64_t arg_or_id,
+            std::uint64_t req_id, char kind) noexcept;
+  void resize(std::size_t cap) noexcept;
 };
 
 struct TraceState {
@@ -80,7 +85,6 @@ struct TraceState {
   bool armed BF_GUARDED_BY(mu) = false;
   bool passive BF_GUARDED_BY(mu) = false;  // armed with no output path
   std::string path BF_GUARDED_BY(mu);
-  std::size_t ring_capacity BF_GUARDED_BY(mu) = 1 << 16;
   std::uint64_t t0_ns BF_GUARDED_BY(mu) = 0;
   std::uint32_t next_tid BF_GUARDED_BY(mu) = 1;
   // Ordering contract: relaxed fetch_add — ids only need uniqueness.
@@ -90,26 +94,119 @@ struct TraceState {
   std::vector<std::shared_ptr<ThreadRing>> rings BF_GUARDED_BY(mu);
 };
 
+std::uint64_t dropped_locked(TraceState& st) BF_REQUIRES(st.mu) {
+  std::uint64_t total = 0;
+  for (const auto& r : st.rings) {
+    const std::uint64_t n = r->head.load(std::memory_order_acquire) - r->floor;
+    if (n > r->capacity) total += n - r->capacity;
+  }
+  return total;
+}
+
 TraceState& state() {
   static TraceState* s = [] {
     auto* st = new TraceState();  // leaked: threads record at exit
-    // Ring overflow is otherwise silent: surface the cumulative drop count
-    // through the registry so dashboards see burst loss.  The registry and
-    // this state are both process-lifetime leaks, so the callback never
-    // dangles; it takes the trace mutex under the registry mutex (Registry
-    // mu -> trace mu, one-way — nothing holding the trace mutex calls the
+    // Ring wrap is otherwise silent: surface the overwritten count through
+    // the registry so dashboards see burst loss.  The registry and this
+    // state are both process-lifetime leaks, so the callback never dangles;
+    // it takes the trace mutex under the registry mutex (Registry mu ->
+    // trace mu, one-way — nothing holding the trace mutex calls the
     // registry's locked API).
     registry().add_callback_gauge(st, "telemetry.trace.dropped", "", [st] {
-      core::MutexLock lock(st->mu);
-      std::uint64_t total = 0;
-      for (const auto& r : st->rings) {
-        total += r->dropped.load(std::memory_order_relaxed);
-      }
-      return static_cast<double>(total);
+      TraceState& locked = *st;
+      core::MutexLock lock(locked.mu);
+      return static_cast<double>(dropped_locked(locked));
     });
     return st;
   }();
   return *s;
+}
+
+void ThreadRing::resize(std::size_t cap) noexcept {
+  TraceState& st = state();
+  core::MutexLock lock(st.mu);
+  slots.reset(new TraceSlot[cap]);
+  capacity = cap;
+  head.store(0, std::memory_order_relaxed);
+  pos = 0;
+  floor = 0;
+}
+
+void ThreadRing::push(const char* name, const char* detail, const char* cat,
+                      std::uint64_t start, std::uint64_t end, std::uint64_t arg_or_id,
+                      std::uint64_t req_id, char kind) noexcept {
+  const std::size_t want = g_ring_capacity.load(std::memory_order_relaxed);
+  if (want != capacity) [[unlikely]] resize(want);
+  char buf[kTextWords * 8 + 8];  // + one zeroed word of tail padding
+  std::size_t len = strnlen(name, kNameCap - 1);
+  std::memcpy(buf, name, len);
+  buf[len++] = '\0';
+  if (detail != nullptr) {
+    const std::size_t n = strnlen(detail, kDetailCap - 1);
+    std::memcpy(buf + len, detail, n);
+    len += n;
+    buf[len++] = '\0';
+  }
+  std::memset(buf + len, 0, 8);
+  const std::uint64_t h = head.load(std::memory_order_relaxed);
+  TraceSlot& s = slots[pos];
+  pos = pos + 1 == capacity ? 0 : pos + 1;
+  s.seq.store(2 * h + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  s.start_ns.store(start, std::memory_order_relaxed);
+  s.end_ns.store(end, std::memory_order_relaxed);
+  s.rid.store(req_id, std::memory_order_relaxed);
+  s.arg.store(arg_or_id, std::memory_order_relaxed);
+  s.cat.store(cat, std::memory_order_relaxed);
+  s.ph.store(kind, std::memory_order_relaxed);
+  s.text_len.store(static_cast<std::uint8_t>(len), std::memory_order_relaxed);
+  for (std::size_t w = 0; w * 8 < len; ++w) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, buf + w * 8, 8);
+    s.text[w].store(word, std::memory_order_relaxed);
+  }
+  s.seq.store(2 * h + 2, std::memory_order_release);
+  head.store(h + 1, std::memory_order_release);
+}
+
+/// Appends `r`'s live records (this session's, oldest first) to `out`.
+/// Caller holds the trace mutex, which pins the ring's storage; the owner
+/// may keep writing, and a slot it rewrites mid-copy is skipped.
+void read_ring_locked(const ThreadRing& r, std::vector<TraceRecord>& out) {
+  const std::uint64_t hi = r.head.load(std::memory_order_acquire);
+  const std::uint64_t lo = std::max(r.floor, hi > r.capacity ? hi - r.capacity : 0);
+  char buf[kTextWords * 8 + 1];
+  for (std::uint64_t i = lo; i < hi; ++i) {
+    const TraceSlot& s = r.slots[i % r.capacity];
+    const std::uint64_t s1 = s.seq.load(std::memory_order_acquire);
+    if (s1 != 2 * i + 2) continue;  // overwritten by a newer lap
+    TraceRecord rec;
+    rec.tid = r.tid;
+    rec.seq = i;
+    rec.start_ns = s.start_ns.load(std::memory_order_relaxed);
+    rec.end_ns = s.end_ns.load(std::memory_order_relaxed);
+    rec.rid = s.rid.load(std::memory_order_relaxed);
+    const std::uint64_t arg = s.arg.load(std::memory_order_relaxed);
+    rec.cat = s.cat.load(std::memory_order_relaxed);
+    rec.ph = s.ph.load(std::memory_order_relaxed);
+    const std::size_t len =
+        std::min<std::size_t>(s.text_len.load(std::memory_order_relaxed), kTextWords * 8);
+    for (std::size_t w = 0; w * 8 < len; ++w) {
+      const std::uint64_t word = s.text[w].load(std::memory_order_relaxed);
+      std::memcpy(buf + w * 8, &word, 8);
+    }
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (s.seq.load(std::memory_order_relaxed) != s1) continue;  // overlapped
+    buf[len] = '\0';
+    rec.name = buf;
+    if (rec.name.size() + 1 < len) rec.detail = buf + rec.name.size() + 1;
+    if (rec.ph == 'a') {
+      rec.id = arg;
+    } else {
+      rec.arg = static_cast<std::int64_t>(arg);
+    }
+    out.push_back(std::move(rec));
+  }
 }
 
 ThreadRing* this_thread_ring() {
@@ -119,7 +216,8 @@ ThreadRing* this_thread_ring() {
   thread_local ThreadRing* ring = [] {
     TraceState& st = state();
     core::MutexLock lock(st.mu);
-    auto r = std::make_shared<ThreadRing>(st.ring_capacity, st.next_tid++);
+    auto r = std::make_shared<ThreadRing>(
+        g_ring_capacity.load(std::memory_order_relaxed), st.next_tid++);
     st.rings.push_back(r);
     return r.get();
   }();
@@ -138,96 +236,35 @@ void json_escape_into(std::string& out, const char* s) {
   }
 }
 
-/// Serializes every published ring prefix into Chrome's JSON array format.
-/// Caller holds the trace mutex.  Reads are non-destructive: published
-/// slots are immutable and the acquire load of each ring's size bounds the
-/// scan, so this is safe against concurrent writers.
-std::string render_json_locked(TraceState& st, std::size_t* events_out) {
-  std::string out;
-  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  std::size_t written = 0;
-  std::uint64_t dropped_total = 0;
-  auto emit = [&](const TraceEvent& ev, std::uint32_t tid, double ts_us, double dur_us,
-                  const char* ph, std::uint64_t id) {
-    if (written != 0) out += ",\n";
-    out += "{\"name\":\"";
-    json_escape_into(out, ev.name);
-    out += "\",\"cat\":\"";
-    json_escape_into(out, ev.cat);
-    out += "\",\"ph\":\"";
-    out += ph;
-    out += "\",\"pid\":1,\"tid\":";
-    out += std::to_string(tid);
-    char buf[96];
-    std::snprintf(buf, sizeof buf, ",\"ts\":%.3f", ts_us);
-    out += buf;
-    if (ph[0] == 'X') {
-      std::snprintf(buf, sizeof buf, ",\"dur\":%.3f", dur_us);
-      out += buf;
-    }
-    if (ph[0] == 'i') out += ",\"s\":\"t\"";
-    if (id != TraceEvent::kIdNone) {
-      out += ",\"id\":\"";
-      out += std::to_string(id);
-      out += '"';
-    }
-    if (ev.arg >= 0 || ev.rid != 0) {
-      out += ",\"args\":{";
-      bool first = true;
-      if (ev.arg >= 0) {
-        out += "\"n\":";
-        out += std::to_string(ev.arg);
-        first = false;
-      }
-      if (ev.rid != 0) {
-        if (!first) out += ',';
-        out += "\"rid\":";
-        out += std::to_string(ev.rid);
-      }
-      out += '}';
-    }
-    out += '}';
-    ++written;
-  };
+TraceSnapshot snapshot_locked(TraceState& st) BF_REQUIRES(st.mu) {
+  TraceSnapshot snap;
+  if (!st.armed) return snap;
+  snap.armed = true;
+  snap.t0_ns = st.t0_ns;
+  snap.dropped = dropped_locked(st);
+  for (const auto& r : st.rings) read_ring_locked(*r, snap.records);
+  return snap;
+}
 
-  for (const auto& r : st.rings) {
-    const std::uint32_t n = r->size.load(std::memory_order_acquire);
-    dropped_total += r->dropped.load(std::memory_order_relaxed);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const TraceEvent& ev = r->slots[i];
-      // Clamp events that straddled trace_start (a span constructed before
-      // arming records nothing, but an armed span can begin before t0 if
-      // arming raced its constructor — harmless, clamp to 0).
-      const double ts_us =
-          ev.start_ns >= st.t0_ns
-              ? static_cast<double>(ev.start_ns - st.t0_ns) / 1000.0
-              : 0.0;
-      const double dur_us = ev.end_ns >= ev.start_ns
-                                ? static_cast<double>(ev.end_ns - ev.start_ns) / 1000.0
-                                : 0.0;
-      if (ev.ph == 'i') {
-        emit(ev, r->tid, ts_us, 0.0, "i", TraceEvent::kIdNone);
-      } else if (ev.id == TraceEvent::kIdNone) {
-        emit(ev, r->tid, ts_us, dur_us, "X", TraceEvent::kIdNone);
-      } else {
-        const double end_us = ts_us + dur_us;
-        emit(ev, r->tid, ts_us, 0.0, "b", ev.id);
-        emit(ev, r->tid, end_us, 0.0, "e", ev.id);
-      }
-    }
-  }
-  // Footer: stamp the cumulative ring-overflow drop count into the trace so
-  // a consumer knows how complete the timeline is (also exported live as
-  // the telemetry.trace.dropped registry gauge).
-  if (written != 0) out += ",\n";
-  out += "{\"name\":\"trace_dropped_events\",\"cat\":\"meta\",\"ph\":\"C\",\"pid\":1,"
-         "\"tid\":0,\"ts\":0,\"args\":{\"dropped\":";
-  out += std::to_string(dropped_total);
-  out += "}}";
-  ++written;
-  out += "\n]}\n";
-  if (events_out != nullptr) *events_out = written;
-  return out;
+
+/// Starts a new session on every registered ring: records written before
+/// now no longer count.
+void reset_rings_locked(TraceState& st) BF_REQUIRES(st.mu) {
+  for (auto& r : st.rings) r->floor = r->head.load(std::memory_order_relaxed);
+}
+
+/// Arms a session (file when `path` is non-empty, else passive).  Rings of
+/// existing threads start over: their earlier records stop counting, and
+/// each re-sizes itself to `ring_capacity` on its next record.
+void arm_locked(TraceState& st, const std::string& path, std::size_t ring_capacity)
+    BF_REQUIRES(st.mu) {
+  st.path = path;
+  st.passive = path.empty();
+  g_ring_capacity.store(ring_capacity, std::memory_order_relaxed);
+  st.t0_ns = detail::now_ns();
+  reset_rings_locked(st);
+  st.armed = true;
+  detail::g_trace_enabled.store(true, std::memory_order_relaxed);
 }
 
 /// Applies BITFLOW_TRACE before main() and flushes at process exit, so any
@@ -265,23 +302,23 @@ std::uint64_t now_ns() noexcept {
 
 void trace_record(const char* name, const char* cat, std::uint64_t start_ns,
                   std::uint64_t end_ns, std::int64_t arg, std::uint64_t rid) {
-  this_thread_ring()->push(name, cat, start_ns, end_ns, arg, rid,
-                           TraceEvent::kIdNone, 'X');
+  this_thread_ring()->push(name, nullptr, cat, start_ns, end_ns,
+                           static_cast<std::uint64_t>(arg), rid, 'X');
 }
 
 void trace_record_async(const char* name, const char* cat, std::uint64_t start_ns,
                         std::uint64_t end_ns, std::uint64_t id, std::uint64_t rid) {
-  if (id == TraceEvent::kIdNone) id -= 1;
-  this_thread_ring()->push(name, cat, start_ns, end_ns, -1, rid, id, 'a');
+  this_thread_ring()->push(name, nullptr, cat, start_ns, end_ns, id, rid, 'a');
 }
 
 void trace_record_instant(const char* name, const char* cat, std::uint64_t ts_ns,
-                          std::uint64_t rid) {
-  this_thread_ring()->push(name, cat, ts_ns, ts_ns, -1, rid, TraceEvent::kIdNone,
-                           'i');
+                          std::uint64_t rid, const char* detail) noexcept {
+  this_thread_ring()->push(name, detail, cat, ts_ns, ts_ns,
+                           static_cast<std::uint64_t>(-1), rid, 'i');
 }
 
 }  // namespace detail
+
 
 void trace_start(const std::string& path, std::size_t ring_capacity) {
   if (path.empty()) throw std::invalid_argument("trace_start: empty path");
@@ -289,20 +326,7 @@ void trace_start(const std::string& path, std::size_t ring_capacity) {
   TraceState& st = state();
   core::MutexLock lock(st.mu);
   if (st.armed) throw std::logic_error("trace_start: trace already armed");
-  st.path = path;
-  st.passive = false;
-  st.ring_capacity = ring_capacity;
-  st.t0_ns = detail::now_ns();
-  // Reset rings registered by a previous session; new threads get the new
-  // capacity.  Existing threads keep their (already sized) rings — events
-  // from before this session are discarded by the size reset.
-  for (auto& r : st.rings) {
-    r->size.store(0, std::memory_order_relaxed);
-    r->dropped.store(0, std::memory_order_relaxed);
-    if (r->slots.size() != ring_capacity) r->slots.resize(ring_capacity);
-  }
-  st.armed = true;
-  detail::g_trace_enabled.store(true, std::memory_order_relaxed);
+  arm_locked(st, path, ring_capacity);
 }
 
 void trace_arm_passive(std::size_t ring_capacity) {
@@ -312,33 +336,106 @@ void trace_arm_passive(std::size_t ring_capacity) {
   TraceState& st = state();
   core::MutexLock lock(st.mu);
   if (st.armed) return;  // existing session (either kind) serves snapshots
-  st.path.clear();
-  st.passive = true;
-  st.ring_capacity = ring_capacity;
-  st.t0_ns = detail::now_ns();
-  for (auto& r : st.rings) {
-    r->size.store(0, std::memory_order_relaxed);
-    r->dropped.store(0, std::memory_order_relaxed);
-    if (r->slots.size() != ring_capacity) r->slots.resize(ring_capacity);
-  }
-  st.armed = true;
-  detail::g_trace_enabled.store(true, std::memory_order_relaxed);
+  arm_locked(st, {}, ring_capacity);
 }
 
 std::uint64_t trace_dropped_events() {
   TraceState& st = state();
   core::MutexLock lock(st.mu);
-  std::uint64_t total = 0;
-  for (const auto& r : st.rings) total += r->dropped.load(std::memory_order_relaxed);
-  return total;
+  return dropped_locked(st);
+}
+
+TraceSnapshot trace_snapshot() {
+  TraceState& st = state();
+  core::MutexLock lock(st.mu);
+  return snapshot_locked(st);
+}
+
+std::string trace_render_json(const TraceSnapshot& snap, std::size_t* events_out) {
+  std::string out;
+  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  std::size_t written = 0;
+  auto emit = [&](const TraceRecord& ev, double ts_us, double dur_us, char ph) {
+    if (written != 0) out += ",\n";
+    out += "{\"name\":\"";
+    json_escape_into(out, ev.name.c_str());
+    out += "\",\"cat\":\"";
+    json_escape_into(out, ev.cat);
+    out += "\",\"ph\":\"";
+    out += ph;
+    out += "\",\"pid\":1,\"tid\":";
+    out += std::to_string(ev.tid);
+    char buf[96];
+    std::snprintf(buf, sizeof buf, ",\"ts\":%.3f", ts_us);
+    out += buf;
+    if (ph == 'X') {
+      std::snprintf(buf, sizeof buf, ",\"dur\":%.3f", dur_us);
+      out += buf;
+    }
+    if (ph == 'i') out += ",\"s\":\"t\"";
+    if (ph == 'b' || ph == 'e') {
+      out += ",\"id\":\"";
+      out += std::to_string(ev.id);
+      out += '"';
+    }
+    const bool n = ph == 'X' && ev.arg >= 0;
+    if (n || ev.rid != 0 || !ev.detail.empty()) {
+      out += ",\"args\":{";
+      const char* sep = "";
+      if (n) {
+        out += "\"n\":" + std::to_string(ev.arg);
+        sep = ",";
+      }
+      if (ev.rid != 0) {
+        out += sep;
+        out += "\"rid\":" + std::to_string(ev.rid);
+        sep = ",";
+      }
+      if (!ev.detail.empty()) {
+        out += sep;
+        out += "\"detail\":\"";
+        json_escape_into(out, ev.detail.c_str());
+        out += '"';
+      }
+      out += '}';
+    }
+    out += '}';
+    ++written;
+  };
+
+  for (const TraceRecord& ev : snap.records) {
+    // Clamp events that straddled arming (an armed span can begin before t0
+    // if arming raced its constructor — harmless, clamp to 0).
+    const double ts_us = ev.start_ns >= snap.t0_ns
+                             ? static_cast<double>(ev.start_ns - snap.t0_ns) / 1000.0
+                             : 0.0;
+    const double dur_us = ev.end_ns >= ev.start_ns
+                              ? static_cast<double>(ev.end_ns - ev.start_ns) / 1000.0
+                              : 0.0;
+    if (ev.ph == 'a') {
+      emit(ev, ts_us, 0.0, 'b');
+      emit(ev, ts_us + dur_us, 0.0, 'e');
+    } else {
+      emit(ev, ts_us, dur_us, ev.ph);
+    }
+  }
+  // Footer: stamp the overwritten count into the trace so a consumer knows
+  // how far back the timeline reaches (also exported live as the
+  // telemetry.trace.dropped registry gauge).
+  if (written != 0) out += ",\n";
+  out += "{\"name\":\"trace_dropped_events\",\"cat\":\"meta\",\"ph\":\"C\",\"pid\":1,"
+         "\"tid\":0,\"ts\":0,\"args\":{\"dropped\":";
+  out += std::to_string(snap.dropped);
+  out += "}}";
+  ++written;
+  out += "\n]}\n";
+  if (events_out != nullptr) *events_out = written;
+  return out;
 }
 
 std::string trace_snapshot_json() {
-  TraceState& st = state();
-  core::MutexLock lock(st.mu);
-  if (!st.armed) return {};
-  std::size_t written = 0;
-  return render_json_locked(st, &written);
+  const TraceSnapshot snap = trace_snapshot();
+  return snap.armed ? trace_render_json(snap) : std::string();
 }
 
 std::size_t trace_stop() {
@@ -346,13 +443,9 @@ std::size_t trace_stop() {
   core::MutexLock lock(st.mu);
   if (!st.armed) return 0;
   detail::g_trace_enabled.store(false, std::memory_order_relaxed);
-  st.armed = false;
-
   std::size_t written = 0;
-  const bool passive = st.passive;
-  st.passive = false;
-  if (!passive) {
-    const std::string json = render_json_locked(st, &written);
+  if (!st.passive) {
+    const std::string json = trace_render_json(snapshot_locked(st), &written);
     std::FILE* f = std::fopen(st.path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "[bitflow] trace: cannot open '%s'\n", st.path.c_str());
@@ -362,10 +455,9 @@ std::size_t trace_stop() {
       std::fclose(f);
     }
   }
-  for (const auto& r : st.rings) {
-    r->size.store(0, std::memory_order_relaxed);
-    r->dropped.store(0, std::memory_order_relaxed);
-  }
+  st.armed = false;
+  st.passive = false;
+  reset_rings_locked(st);
   return written;
 }
 

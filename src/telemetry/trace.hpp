@@ -7,8 +7,8 @@
 // trace_start(), passively via trace_arm_passive() — the flight recorder's
 // always-on mode — or for a whole process via BITFLOW_TRACE=<path>), each
 // span records a complete event into a fixed-capacity thread-local ring
-// buffer: no locks, no allocation on the hot path after the first event of a
-// thread.  trace_stop() (or process exit under BITFLOW_TRACE) merges every
+// buffer: no locks, no allocation on the hot path after a thread's first
+// event (or its first after the ring capacity changed).  trace_stop() (or process exit under BITFLOW_TRACE) merges every
 // thread's ring and writes Chrome's JSON array format, loadable in
 // chrome://tracing and Perfetto:
 //
@@ -24,7 +24,9 @@
 //   request : async "serve.request" pairs (enqueue -> resolution); async
 //             because a request's lifetime spans threads and overlaps
 //             batches, so it must not claim a slot in the nesting stack.
-//   lifecycle: instant events for state transitions, sheds, breaker trips.
+//   flight  : flight_event() breadcrumbs — lifecycle transitions, sheds,
+//             quarantines, deadline breaches, reloads, ...: an instant
+//             named by its kind, carrying args.detail.
 //
 // Request-scoped joining: events carry an optional request id (`rid`,
 // emitted as args.rid; for the async request pair it is also the event id),
@@ -33,24 +35,28 @@
 // the worker that ran it, and the layer/kernel spans nested in that
 // worker's serve.batch window — reconstructs from a single trace.
 //
-// Ring-buffer overflow drops the *newest* events (never overwrites): a slot,
-// once published, is immutable, which is what makes the lock-free flush
-// race-free (slot write happens-before the release store of the size the
-// flusher acquires).  Dropped counts are reported in the trace metadata and
-// surfaced as the `telemetry.trace.dropped` registry gauge.
+// Ring overflow overwrites the *oldest* record, so a thread's ring always
+// holds its newest `ring_capacity` records — a long-running server's
+// incident snapshot still contains the request that caused it.  Each slot
+// is a single-writer seqlock whose payload is written through relaxed
+// atomics: a reader that overlaps the owner rewriting a slot skips it, and
+// TSan sees no plain-memory race.  Overwritten counts are reported in the
+// trace metadata and surfaced as the `telemetry.trace.dropped` registry
+// gauge.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace bitflow::telemetry {
 
 namespace detail {
 // Ordering contract: relaxed loads/stores only.  Arming publishes no data
 // through this flag — a span that observes the old value merely skips (or
-// clamps into) the session; slot publication orders via the ring's
-// release/acquire size protocol instead.
+// clamps into) the session; slot publication orders via each slot's
+// seqlock and the ring head's release/acquire pair instead.
 extern std::atomic<bool> g_trace_enabled;
 /// Appends a complete event to the calling thread's ring.  `start_ns`/`end_ns`
 /// are steady_clock readings.  `name` is copied into the ring slot (truncated
@@ -63,9 +69,10 @@ void trace_record(const char* name, const char* cat, std::uint64_t start_ns,
 /// Appends an async begin/end pair (rendered as its own track).
 void trace_record_async(const char* name, const char* cat, std::uint64_t start_ns,
                         std::uint64_t end_ns, std::uint64_t id, std::uint64_t rid = 0);
-/// Appends a thread-scoped instant event.
+/// Appends a thread-scoped instant event.  `detail` (may be null) is copied,
+/// truncated to 95 chars, and emitted as args.detail.
 void trace_record_instant(const char* name, const char* cat, std::uint64_t ts_ns,
-                          std::uint64_t rid);
+                          std::uint64_t rid, const char* detail = nullptr) noexcept;
 [[nodiscard]] std::uint64_t now_ns() noexcept;
 }  // namespace detail
 
@@ -76,7 +83,8 @@ void trace_record_instant(const char* name, const char* cat, std::uint64_t ts_ns
 
 /// Arms the sink; events recorded from now on are written to `path` by
 /// trace_stop().  `ring_capacity` bounds the per-thread event count
-/// (overflow drops newest).  Throws std::logic_error if already armed.
+/// (overflow overwrites the oldest).  Throws std::logic_error if already
+/// armed.
 void trace_start(const std::string& path, std::size_t ring_capacity = 1 << 16);
 
 /// Arms the sink with NO output path: events accumulate in the rings and are
@@ -91,13 +99,45 @@ void trace_arm_passive(std::size_t ring_capacity = 1 << 14);
 /// No-op returning 0 when not armed.
 std::size_t trace_stop();
 
-/// Non-destructive snapshot: merges every thread's published ring prefix
-/// into a Chrome-trace JSON string WITHOUT disarming or resetting — safe to
-/// call while writers keep recording (published slots are immutable).
-/// Returns an empty string when not armed.
+/// One record read back from a thread's ring.
+struct TraceRecord {
+  std::string name;    ///< span/instant name; a flight event's kind
+  std::string detail;  ///< flight events only (args.detail)
+  const char* cat = "";
+  char ph = 'X';       ///< 'X' complete span, 'a' async pair, 'i' instant
+  std::uint32_t tid = 0;
+  std::uint64_t seq = 0;  ///< the record's index in its thread's ring
+  std::uint64_t start_ns = 0;
+  std::uint64_t end_ns = 0;
+  std::int64_t arg = -1;  ///< >= 0: args.n (complete spans)
+  std::uint64_t rid = 0;  ///< != 0: args.rid
+  std::uint64_t id = 0;   ///< async pair id ('a' only)
+};
+
+/// Every live record of the armed session: each thread's ring oldest first,
+/// threads in registration order.
+struct TraceSnapshot {
+  bool armed = false;
+  std::uint64_t t0_ns = 0;    ///< steady_clock at arming
+  std::uint64_t dropped = 0;  ///< records overwritten by ring wrap
+  std::vector<TraceRecord> records;
+};
+
+/// Non-destructive snapshot WITHOUT disarming or resetting — safe to call
+/// while writers keep recording (a slot being rewritten is skipped).  Empty
+/// (armed = false) when not armed.
+[[nodiscard]] TraceSnapshot trace_snapshot();
+
+/// Renders a snapshot in Chrome's JSON array format, with a footer counter
+/// event carrying the overwritten count.  `events_out` (optional) receives
+/// the number of event objects written; an async pair is two.
+[[nodiscard]] std::string trace_render_json(const TraceSnapshot& snap,
+                                            std::size_t* events_out = nullptr);
+
+/// trace_render_json(trace_snapshot()); an empty string when not armed.
 [[nodiscard]] std::string trace_snapshot_json();
 
-/// Total events dropped to ring overflow since trace_start().
+/// Records overwritten by ring wrap since the session was armed.
 [[nodiscard]] std::uint64_t trace_dropped_events();
 
 /// RAII scoped span.  Disarmed cost: one relaxed atomic load (constructor)

@@ -5,13 +5,15 @@
 // same discipline as fuzz_tune_cache_test — truncate at every offset, flip a
 // deterministic bit in every byte, never crash, always fail closed.
 //
-// All multi-threaded sections are written to run clean under TSan: the event
-// ring is lock-free by design and this test is its data-race gate.
+// All multi-threaded sections are written to run clean under TSan: flight
+// events are instants in the lock-free trace rings, and this test is their
+// data-race gate.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
@@ -66,7 +68,6 @@ class ArmedRecorder {
 FlightRecorderConfig base_cfg(const TempDir& dir) {
   FlightRecorderConfig cfg;
   cfg.dir = dir.path().string();
-  cfg.event_capacity = 256;
   cfg.min_bundle_interval = 0ms;
   cfg.max_bundles = 64;
   // Detectors off by default; individual tests lower these.
@@ -103,8 +104,29 @@ Tensor make_input(std::uint64_t seed) {
   return t;
 }
 
+/// Snapshot invariants: timestamps never go backwards, and within one
+/// thread ring indices strictly increase — a torn slot would show a
+/// reordered or duplicated index.  With `rid_in_detail`, every event's
+/// detail must spell its rid, so a slot torn between two writes shows too.
+void expect_consistent(const std::vector<TraceRecord>& snap, bool rid_in_detail = false) {
+  std::map<std::uint32_t, std::uint64_t> last_seq;
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    if (i > 0) {
+      ASSERT_LE(snap[i - 1].start_ns, snap[i].start_ns);
+    }
+    const auto [it, fresh] = last_seq.emplace(snap[i].tid, snap[i].seq);
+    if (!fresh) {
+      ASSERT_LT(it->second, snap[i].seq) << "tid " << snap[i].tid;
+      it->second = snap[i].seq;
+    }
+    if (rid_in_detail) {
+      ASSERT_EQ(snap[i].detail, std::to_string(snap[i].rid));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Event ring.
+// Breadcrumbs (flight instants in the trace rings).
 
 TEST(FlightEvents, DisarmedIsANoOpAndSnapshotIsEmpty) {
   ASSERT_FALSE(flight_armed());
@@ -113,42 +135,44 @@ TEST(FlightEvents, DisarmedIsANoOpAndSnapshotIsEmpty) {
   EXPECT_TRUE(flight_events_snapshot().empty());
 }
 
-TEST(FlightEvents, OrderedSnapshotWithTicketsAndRids) {
+TEST(FlightEvents, OrderedSnapshotWithSequenceAndRids) {
   TempDir dir("ordered");
   ArmedRecorder armed(base_cfg(dir));
   flight_event("shed", "first", 1);
   flight_event("deadline", "second", 2);
   flight_event("reload", "third");
-  const std::vector<FlightEvent> got = flight_events_snapshot();
+  const std::vector<TraceRecord> got = flight_events_snapshot();
   ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0].kind, "shed");
+  EXPECT_EQ(got[0].name, "shed");
   EXPECT_EQ(got[0].detail, "first");
   EXPECT_EQ(got[0].rid, 1u);
-  EXPECT_EQ(got[2].kind, "reload");
+  EXPECT_EQ(got[2].name, "reload");
   EXPECT_EQ(got[2].rid, 0u);
-  EXPECT_LT(got[0].ticket, got[1].ticket);
-  EXPECT_LT(got[1].ticket, got[2].ticket);
-  EXPECT_LE(got[0].ts_ns, got[2].ts_ns);
+  // One thread: ring order is recording order.
+  EXPECT_EQ(got[0].tid, got[2].tid);
+  EXPECT_LT(got[0].seq, got[1].seq);
+  EXPECT_LT(got[1].seq, got[2].seq);
+  EXPECT_LE(got[0].start_ns, got[2].start_ns);
 }
 
-TEST(FlightEvents, RingWrapKeepsNewestAndCountsNothingDroppedWhenUncontended) {
+TEST(FlightEvents, RingWrapKeepsNewestAndCountsTheOverwritten) {
   TempDir dir("wrap");
   FlightRecorderConfig cfg = base_cfg(dir);
-  cfg.event_capacity = 16;
+  cfg.trace_ring_capacity = 16;
   ArmedRecorder armed(cfg);
   for (int i = 0; i < 100; ++i) flight_event("lifecycle", "tick", static_cast<std::uint64_t>(i));
-  const std::vector<FlightEvent> got = flight_events_snapshot();
+  const std::vector<TraceRecord> got = flight_events_snapshot();
   ASSERT_EQ(got.size(), 16u);
   // Newest 16 survive, oldest first.
   EXPECT_EQ(got.front().rid, 84u);
   EXPECT_EQ(got.back().rid, 99u);
-  EXPECT_EQ(flight_events_dropped(), 0u);
+  EXPECT_EQ(trace_dropped_events(), 84u);
 }
 
 TEST(FlightEvents, ConcurrentWritersAndSnapshottersAreRaceFree) {
   TempDir dir("concurrent");
   FlightRecorderConfig cfg = base_cfg(dir);
-  cfg.event_capacity = 128;
+  cfg.trace_ring_capacity = 128;
   ArmedRecorder armed(cfg);
 
   std::atomic<bool> stop{false};
@@ -161,7 +185,9 @@ TEST(FlightEvents, ConcurrentWritersAndSnapshottersAreRaceFree) {
     writers.emplace_back([&stop, &logged, w] {
       std::uint64_t n = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        flight_event("shed", "writer pressure", static_cast<std::uint64_t>(w) * 1'000'000 + n);
+        // The detail repeats the rid, so a torn slot shows as a mismatch.
+        const std::uint64_t rid = static_cast<std::uint64_t>(w) * 1'000'000 + n + 1;
+        flight_event("shed", std::to_string(rid).c_str(), rid);
         ++n;
       }
       logged.fetch_add(n, std::memory_order_relaxed);
@@ -169,12 +195,7 @@ TEST(FlightEvents, ConcurrentWritersAndSnapshottersAreRaceFree) {
   }
   std::thread reader([&stop] {
     while (!stop.load(std::memory_order_relaxed)) {
-      const std::vector<FlightEvent> snap = flight_events_snapshot();
-      // Snapshot invariant: tickets strictly increase — a torn slot would
-      // show duplicated or reordered tickets.
-      for (std::size_t i = 1; i < snap.size(); ++i) {
-        ASSERT_LT(snap[i - 1].ticket, snap[i].ticket);
-      }
+      expect_consistent(flight_events_snapshot(), /*rid_in_detail=*/true);
     }
   });
   std::this_thread::sleep_for(200ms);
@@ -182,10 +203,8 @@ TEST(FlightEvents, ConcurrentWritersAndSnapshottersAreRaceFree) {
   for (auto& t : writers) t.join();
   reader.join();
   EXPECT_GT(logged.load(std::memory_order_relaxed), 0u);
-  // Contention may drop events (drop-newest by seqlock CAS failure), but the
-  // ring plus drop counter must account for a sane world: snapshot is
-  // well-formed and bounded by capacity.
-  EXPECT_LE(flight_events_snapshot().size(), 128u);
+  // Each writer's ring holds at most its newest 128 records.
+  EXPECT_LE(flight_events_snapshot().size(), 4u * 128u);
 }
 
 // ---------------------------------------------------------------------------
@@ -317,7 +336,6 @@ TEST(FlightChaos, EventLoggingSurvivesDrainReloadAndFailpoints) {
   failpoint::disarm_all();
   TempDir dir("chaos");
   FlightRecorderConfig cfg = base_cfg(dir);
-  cfg.event_capacity = 512;
   cfg.breach_threshold = 32;  // let real breaches trigger too
   cfg.rate_window = 64;
   cfg.min_bundle_interval = std::chrono::milliseconds(3'600'000);
@@ -393,10 +411,7 @@ TEST(FlightChaos, EventLoggingSurvivesDrainReloadAndFailpoints) {
   // Snapshot thread: continuous consistent reads while everything churns.
   std::thread reader([&stop] {
     while (!stop.load(std::memory_order_relaxed)) {
-      const std::vector<FlightEvent> snap = flight_events_snapshot();
-      for (std::size_t i = 1; i < snap.size(); ++i) {
-        ASSERT_LT(snap[i - 1].ticket, snap[i].ticket);
-      }
+      expect_consistent(flight_events_snapshot());
       (void)flight_status_text();
       std::this_thread::sleep_for(5ms);
     }

@@ -2,7 +2,9 @@
 // kernel selection, and end-to-end equivalence against manual layer-by-layer
 // composition of the standalone kernels.
 #include <cstdint>
+#include <iterator>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -322,6 +324,45 @@ TEST(BinaryNetwork, ProfileReportAccumulatesAcrossContextsWhenGloballyEnabled) {
     EXPECT_EQ(row.calls, 1u) << row.name;
     EXPECT_EQ(row.images, 3u) << row.name;
   }
+}
+
+/// The measured-counter path of the table, which a host without
+/// perf_event_open access never reaches: a "measured" row prints its ipc and
+/// mpki, a "calibrated" row prints n/a in both columns.
+TEST(ProfileReport, TablePrintsMeasuredCountersAndNaForCalibratedRows) {
+  ProfileReport report;
+  LayerProfile measured;
+  measured.name = "c1";
+  measured.kernel = "pressedconv_tiled[avx2]";
+  measured.calls = 4;
+  measured.images = 4;
+  measured.ipc = 2.75;
+  measured.llc_mpki = 0.4;
+  measured.perf_source = "measured";
+  LayerProfile calibrated = measured;
+  calibrated.name = "f1";
+  calibrated.perf_source = "calibrated";
+  report.rows = {measured, calibrated};
+
+  // The last three columns of a row are ipc, mpki and src.
+  auto tail_columns = [](const std::string& table, const std::string& layer) {
+    std::istringstream lines(table);
+    std::string line;
+    while (std::getline(lines, line)) {
+      std::istringstream cols(line);
+      std::vector<std::string> tok{std::istream_iterator<std::string>(cols),
+                                   std::istream_iterator<std::string>()};
+      if (tok.size() >= 3 && tok[0] == layer) {
+        return std::vector<std::string>(tok.end() - 3, tok.end());
+      }
+    }
+    return std::vector<std::string>{};
+  };
+  const std::string table = report.to_table();
+  EXPECT_EQ(tail_columns(table, "c1"), (std::vector<std::string>{"2.75", "0.40", "measured"}))
+      << table;
+  EXPECT_EQ(tail_columns(table, "f1"), (std::vector<std::string>{"n/a", "n/a", "calibrated"}))
+      << table;
 }
 
 TEST(BinaryNetwork, BuildErrors) {

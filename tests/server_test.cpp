@@ -44,6 +44,7 @@
 #include "net/server.hpp"
 #include "serve/shard_router.hpp"
 #include "telemetry/flight_recorder.hpp"
+#include "telemetry/trace.hpp"
 #include "tensor/util.hpp"
 
 namespace bitflow::net {
@@ -480,11 +481,16 @@ TEST_F(ServerTest, StopWithRequestsInFlightIsCleanAndIdempotent) {
 
 // --- flight recorder ---------------------------------------------------------
 
-/// The PR's acceptance scenario end to end: a failpoint-induced SLO breach
-/// over real loopback sockets produces EXACTLY ONE rate-limited diagnostic
-/// bundle whose trace joins the offending traffic's wire-to-kernel span
-/// chain by request id.
-TEST_F(ServerTest, InducedSloBreachWritesOneBundleWithRequestChain) {
+/// Arms the flight recorder, sends `flood` healthy requests (windows of 32
+/// pipelined frames, well under the per-connection in-flight cap), then
+/// request `chain_rid` carrying a client trace id, then induces the breach:
+/// every inference stalls 30 ms against a 5 ms deadline, so each request
+/// completes past its contract until the detector's threshold of 3 trips a
+/// bundle.  The chain request must score `chain_scores`.  Asserts exactly
+/// one bundle despite the later breaches (the rate limit held) and loads it
+/// into `*out`.
+void induce_slo_breach(const Server& server, std::uint64_t flood, std::uint64_t chain_rid,
+                       const std::vector<float>& chain_scores, telemetry::Bundle* out) {
   namespace fs = std::filesystem;
   const fs::path flight_dir =
       fs::temp_directory_path() / ("bitflow_server_flight_" + std::to_string(::getpid()));
@@ -507,25 +513,33 @@ TEST_F(ServerTest, InducedSloBreachWritesOneBundleWithRequestChain) {
     }
   } disarm{flight_dir};
 
-  auto c = Client::connect("127.0.0.1", server_->port());
+  auto c = Client::connect("127.0.0.1", server.port());
   ASSERT_TRUE(c.is_ok());
   Client client = std::move(c.value());
 
-  // Phase 1 — healthy traffic while the recorder passively traces.  Request
-  // 0x51 carries a client trace id through the wire extension; its spans are
-  // the chain the bundle must contain.
-  constexpr std::uint64_t kChainRid = 0x51;
+  constexpr std::uint64_t kWindow = 32;
+  for (std::uint64_t sent = 0; sent < flood; sent += kWindow) {
+    for (std::uint64_t i = 0; i < kWindow; ++i) {
+      ASSERT_TRUE(client.send(make_request(0x10000 + sent + i, i, 5000)).is_ok());
+    }
+    for (std::uint64_t i = 0; i < kWindow; ++i) {
+      auto f = client.recv(5000ms);
+      ASSERT_TRUE(f.is_ok()) << f.status().to_string();
+      ASSERT_EQ(std::get_if<ErrorFrame>(&f.value()), nullptr);
+    }
+  }
+  if (flood > 0) {
+    EXPECT_GT(telemetry::trace_dropped_events(), 0u) << "the flood did not wrap a ring";
+  }
+
   {
-    RequestFrame req = make_request(kChainRid, 3, /*deadline_ms=*/5000);
+    RequestFrame req = make_request(chain_rid, 3, /*deadline_ms=*/5000);
     req.trace_id = 0xABCDEF0102030405ull;
     auto got = client.infer(req, 5000ms);
     ASSERT_TRUE(got.is_ok()) << got.status().to_string();
-    EXPECT_EQ(got.value(), direct_scores(3));
+    EXPECT_EQ(got.value(), chain_scores);
   }
 
-  // Phase 2 — induce the breach: every inference stalls 30 ms against a 5 ms
-  // deadline, so each request completes past its contract (a deadline breach
-  // observed by the detector), until the threshold of 3 trips a bundle.
   failpoint::Config stall;
   stall.action = failpoint::Action::kStall;
   stall.trigger = failpoint::Trigger::kAlways;
@@ -547,28 +561,50 @@ TEST_F(ServerTest, InducedSloBreachWritesOneBundleWithRequestChain) {
   failpoint::disarm_all();
   ASSERT_GE(breached, 3) << "stall failpoint failed to induce the SLO breach";
 
-  // Exactly one bundle despite every breach past the 3rd re-pressuring the
-  // trigger: the rate limit held.
   EXPECT_EQ(telemetry::flight_bundles_written(), 1u);
   std::vector<fs::path> bundles;
   for (const auto& e : fs::directory_iterator(flight_dir, ec)) {
     if (e.is_directory()) bundles.push_back(e.path());
   }
   ASSERT_EQ(bundles.size(), 1u);
-
-  // The bundle is valid and joins request 0x51's wire-to-kernel chain.
   auto loaded = telemetry::load_bundle(bundles[0].string());
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
-  const telemetry::Bundle bundle = std::move(loaded).value();
-  ASSERT_TRUE(telemetry::validate_bundle(bundle).ok());
-  EXPECT_EQ(bundle.manifest.trigger, "slo_breach");
+  *out = std::move(loaded).value();
+  ASSERT_TRUE(telemetry::validate_bundle(*out).ok());
+  EXPECT_EQ(out->manifest.trigger, "slo_breach");
+  // The breach events are in the recent-events log, rid-joined.
+  EXPECT_NE(out->sections.at("events.log").find("deadline"), std::string::npos);
+}
+
+/// The PR's acceptance scenario end to end: a failpoint-induced SLO breach
+/// over real loopback sockets produces EXACTLY ONE rate-limited diagnostic
+/// bundle whose trace joins the offending traffic's wire-to-kernel span
+/// chain by request id.
+TEST_F(ServerTest, InducedSloBreachWritesOneBundleWithRequestChain) {
+  constexpr std::uint64_t kChainRid = 0x51;
+  telemetry::Bundle bundle;
+  induce_slo_breach(*server_, /*flood=*/0, kChainRid, direct_scores(3), &bundle);
+  if (HasFatalFailure()) return;
   EXPECT_TRUE(telemetry::bundle_has_request_chain(bundle, kChainRid))
       << telemetry::bundle_summary(bundle);
   // The server registered /varz and profile-report context sections.
   EXPECT_EQ(bundle.sections.count("varz.txt"), 1u);
   EXPECT_EQ(bundle.sections.count("profile.txt"), 1u);
-  // The breach events are in the recent-events log, rid-joined.
-  EXPECT_NE(bundle.sections.at("events.log").find("deadline"), std::string::npos);
+}
+
+/// The same breach after the server has run long enough to wrap the
+/// recorder's per-thread trace rings (default capacity 16,384 records): the
+/// poll thread records one net.request span per frame, so 17,000 requests
+/// fill its ring and the workers' rings several times over.  The bundle
+/// must still join a request sent after the wrap, because the rings keep
+/// the newest records.
+TEST_F(ServerTest, InducedSloBreachAfterRingWrapKeepsRequestChain) {
+  constexpr std::uint64_t kChainRid = 0x52;
+  telemetry::Bundle bundle;
+  induce_slo_breach(*server_, /*flood=*/17'000, kChainRid, direct_scores(3), &bundle);
+  if (HasFatalFailure()) return;
+  EXPECT_TRUE(telemetry::bundle_has_request_chain(bundle, kChainRid))
+      << telemetry::bundle_summary(bundle);
 }
 
 /// /varz carries the flight recorder's status block and the trace drop

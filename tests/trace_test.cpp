@@ -1,7 +1,7 @@
 // Trace-event sink: disabled-by-default contract, span recording through
 // real inference (batch-1 and batched, engine and network level), JSON
 // validity of the emitted file, well-nesting of the synchronous spans per
-// thread, matched async begin/end pairs, and drop-newest overflow.
+// thread, matched async begin/end pairs, and overwrite-oldest overflow.
 //
 // The JSON checks use a purpose-built miniature parser (the trace writer
 // emits one event object per line), not a JSON library — the point is to
@@ -31,6 +31,7 @@ struct ParsedEvent {
   std::string name, cat, ph, id;
   long tid = -1;
   double ts = -1.0, dur = 0.0;
+  long n = -1;  // args.n
 };
 
 std::string extract_string(const std::string& line, const std::string& key) {
@@ -76,6 +77,7 @@ std::vector<ParsedEvent> parse_trace(const std::string& path) {
     ev.tid = static_cast<long>(extract_number(line, "tid", -1.0));
     ev.ts = extract_number(line, "ts", -1.0);
     ev.dur = extract_number(line, "dur", 0.0);
+    ev.n = static_cast<long>(extract_number(line, "n", -1.0));
     EXPECT_FALSE(ev.ph.empty()) << line;
     EXPECT_GE(ev.tid, 0) << line;
     EXPECT_GE(ev.ts, 0.0) << line;
@@ -245,14 +247,14 @@ TEST(Trace, BatchOneNetworkTraceNestsLayersInsideInfer) {
   expect_well_nested(events);
 }
 
-TEST(Trace, OverflowDropsNewestAndReportsCount) {
+TEST(Trace, OverflowOverwritesOldestAndReportsCount) {
   const std::string path = tmp_path("bitflow_trace_overflow.json");
   // A fresh thread gets a ring of exactly this capacity; it emits far more
-  // spans than fit, so the tail must drop (never overwrite).
+  // spans than fit, so the oldest are overwritten and counted.
   trace_start(path, 16);
   std::thread t([] {
     for (int i = 0; i < 100; ++i) {
-      TraceSpan span("overflow.span", "test");
+      TraceSpan span("overflow.span", "test", i);
     }
   });
   t.join();
@@ -260,13 +262,50 @@ TEST(Trace, OverflowDropsNewestAndReportsCount) {
   const std::size_t written = trace_stop();
   const std::vector<ParsedEvent> events = parse_trace(path);
   EXPECT_EQ(events.size(), written);
-  std::size_t spans = 0, meta = 0;
+  std::vector<long> kept;
+  std::size_t meta = 0;
   for (const ParsedEvent& e : events) {
-    if (e.name == "overflow.span") ++spans;
+    if (e.name == "overflow.span") kept.push_back(e.n);
     if (e.name == "trace_dropped_events" && e.ph == "C") ++meta;
   }
-  EXPECT_EQ(spans, 16u);
+  // The newest 16 survive, oldest first.
+  ASSERT_EQ(kept.size(), 16u);
+  for (std::size_t i = 0; i < kept.size(); ++i) EXPECT_EQ(kept[i], 84 + static_cast<long>(i));
   EXPECT_EQ(meta, 1u);
+}
+
+/// The flight recorder's long-uptime case: a passive session on a thread
+/// that has already filled its ring must still hold that thread's newest
+/// span.  A drop-newest ring loses every span recorded after the first
+/// `ring_capacity`, so an incident bundle would miss the request that
+/// triggered it.
+TEST(Trace, PassiveRingWrapKeepsTheNewestSpans) {
+  constexpr std::size_t kCapacity = 64;
+  constexpr std::size_t kFill = 200;
+  trace_arm_passive(kCapacity);
+  for (std::size_t i = 0; i < kFill; ++i) {
+    TraceSpan span("passive.fill", "test");
+  }
+  { TraceSpan marked("passive.marked", "test", -1, 777); }
+  const std::string json = trace_snapshot_json();
+  EXPECT_EQ(trace_dropped_events(), kFill + 1 - kCapacity);
+  trace_stop();
+
+  std::size_t fill = 0;
+  std::size_t marked = 0;
+  std::istringstream lines(json);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find("\"passive.fill\"") != std::string::npos) ++fill;
+    if (line.find("\"passive.marked\"") != std::string::npos) {
+      ++marked;
+      EXPECT_NE(line.find("\"rid\":777"), std::string::npos) << line;
+    }
+  }
+  EXPECT_EQ(marked, 1u) << "the newest span was lost to the ring wrap";
+  EXPECT_EQ(fill, kCapacity - 1);
+  EXPECT_NE(json.find("\"dropped\":" + std::to_string(kFill + 1 - kCapacity)),
+            std::string::npos);
 }
 
 }  // namespace

@@ -87,7 +87,6 @@ int self_test() {
   // Produce a real bundle the way the serving tier would.
   telemetry::FlightRecorderConfig cfg;
   cfg.dir = root.string();
-  cfg.event_capacity = 64;
   cfg.min_bundle_interval = std::chrono::milliseconds(0);
   cfg.max_bundles = 4;
   telemetry::flight_start(cfg);
