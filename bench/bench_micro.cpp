@@ -7,7 +7,9 @@
 // `BENCH {...}` JSON line per supported ISA level for the headline tiling
 // workload (3x3, C = K = 256, 16x16 output) and for VGG conv1.1's narrow
 // folded-window shape; CI's perf-smoke job and the committed
-// BENCH_pressedconv.json baseline both come from these lines.
+// BENCH_pressedconv.json baseline both come from these lines, as do the
+// fused-binarize rows of the four paper-rule VGG-16 layers at their static
+// plan.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -233,6 +235,39 @@ void emit_conv_bench_json(const char* bench, const char* tiled_field, std::int64
   std::fflush(stdout);
 }
 
+// One `BENCH {"bench":"pressedconv_binarize",...}` line per paper-rule VGG-16
+// layer at its static plan (Sec. III-B rules: C = 64 runs u64, C = 128 runs
+// SSE, both at the default tile width 4): the fused binarize epilogue that
+// BENCH_pressedconv.json's `binarize_epilogue` key records.  Skipped on
+// hosts without SSE4.2.
+void emit_binarize_epilogue_json() {
+  struct Layer {
+    const char* name;
+    simd::IsaLevel isa;
+    std::int64_t out, c, k;
+  };
+  const Layer layers[] = {{"conv1_2", simd::IsaLevel::kU64, 224, 64, 64},
+                          {"conv2_1", simd::IsaLevel::kU64, 112, 64, 128},
+                          {"conv2_2", simd::IsaLevel::kSse, 112, 128, 128},
+                          {"conv3_1", simd::IsaLevel::kSse, 56, 128, 256}};
+  constexpr std::int64_t kKernel = 3;
+  for (const Layer& l : layers) {
+    if (!simd::cpu_features().supports(l.isa)) continue;
+    const std::int64_t tile = kernels::weight_tile_width(l.isa);
+    const bench::BinarizeConvResult r =
+        bench::measure_binarize_conv(l.isa, tile, l.out + kKernel - 1, l.c, l.k, kKernel);
+    std::printf(
+        "BENCH {\"bench\":\"pressedconv_binarize\",\"layer\":\"%s\",\"isa\":\"%s\","
+        "\"tile\":%lld,\"kh\":%lld,\"kw\":%lld,\"c\":%lld,\"k\":%lld,\"out_h\":%lld,"
+        "\"out_w\":%lld,\"binarize_ms\":%.4f,\"gops\":%.2f}\n",
+        l.name, std::string(simd::isa_name(l.isa)).c_str(), static_cast<long long>(tile),
+        static_cast<long long>(kKernel), static_cast<long long>(kKernel),
+        static_cast<long long>(l.c), static_cast<long long>(l.k), static_cast<long long>(l.out),
+        static_cast<long long>(l.out), r.seconds * 1e3, r.gops());
+  }
+  std::fflush(stdout);
+}
+
 /// Median ns/iteration of `body` over `reps` timed repetitions.  A plain
 /// steady-clock loop (not google-benchmark) so the JSON line below is
 /// reproducible with a fixed iteration count and a proper median.
@@ -453,6 +488,7 @@ int main(int argc, char** argv) {
   // window bits fold into one word, so the tiled kernel runs the folded
   // loop while the filter-major one walks nine mostly-empty words per filter.
   emit_conv_bench_json("pressedconv_folded", "folded", 226, 3, 64);
+  emit_binarize_epilogue_json();
   emit_telemetry_bench_json();
   emit_cancel_bench_json();
   return 0;

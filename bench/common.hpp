@@ -236,6 +236,43 @@ inline TiledConvResult measure_tiled_conv(simd::IsaLevel isa, std::int64_t h, st
   return r;
 }
 
+/// One fused conv + binarize shape timed at a fixed plan (ISA, tile width):
+/// the register-tiled binarize kernel the engine runs, single image, single
+/// core, thresholds drawn like folded batchnorm offsets, output written
+/// with the next layer's one-pixel margin.
+struct BinarizeConvResult {
+  double seconds = 0.0;
+  double giga_ops = 0.0;  ///< 2*out_h*out_w*K*kh*kw*C in units of 1e9
+  [[nodiscard]] double gops() const { return giga_ops / seconds; }
+};
+
+inline BinarizeConvResult measure_binarize_conv(simd::IsaLevel isa, std::int64_t tile,
+                                                std::int64_t in, std::int64_t c, std::int64_t k,
+                                                std::int64_t kernel, std::uint64_t seed = 71) {
+  PackedTensor input(in, in, c);
+  fill_random_bits(input, seed);
+  PackedFilterBank filters(k, kernel, kernel, c);
+  fill_random_bits(filters, seed + 1);
+  std::mt19937_64 rng(seed + 2);
+  std::uniform_real_distribution<float> dist(-3.0f, 3.0f);
+  std::vector<float> thresholds(static_cast<std::size_t>(k));
+  for (float& t : thresholds) t = dist(rng);
+  const TiledFilterBank tiled = bitpack::tile_filters(filters, tile);
+  const kernels::ConvSpec spec{kernel, kernel, 1};
+  const std::int64_t out = in - kernel + 1;
+  PackedTensor output(out + 2, out + 2, k);
+  runtime::ThreadPool pool(1);
+  const PackedTensor* ins[] = {&input};
+  PackedTensor* outs[] = {&output};
+  const auto fn = kernels::conv_binarize_tiled_batch_kernel(isa, false, tile);
+  BinarizeConvResult r;
+  r.seconds = runtime::measure_best_seconds(
+      [&] { fn(ins, 1, tiled, spec, thresholds.data(), pool, outs, 1); }, 5, 0.2);
+  r.giga_ops =
+      2.0 * static_cast<double>(out * out * k) * static_cast<double>(kernel * kernel * c) / 1e9;
+  return r;
+}
+
 /// One conv shape of the auto-tuner sweep (bench_micro --tune): chosen to
 /// exercise the tuner off the headline sweet spot — 1x1 and 5x5 kernels,
 /// K below the static heuristic's tile width, and large-HW memory-bound

@@ -15,10 +15,13 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "kernels/binarize_impl.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/packed_tensor.hpp"
 
+// Internal linkage, as in binarize_impl.hpp.
 namespace bitflow::kernels::impl {
+namespace {
 
 template <typename Ops>
 void bgemm_rows_impl(const PackedMatrix& a, std::int64_t m_rows, const PackedMatrix& w,
@@ -161,7 +164,6 @@ void bgemm_binarize_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows,
                                     const TiledBitMatrix& w, const float* thresholds,
                                     runtime::ThreadPool& pool, PackedMatrix& out) {
   constexpr std::int64_t kT = Tile::kWidth;
-  static_assert(64 % Tile::kWidth == 0, "neuron tiles must not straddle output words");
   if (w.tile() != kT) {
     throw std::invalid_argument("bgemm_binarize tiled: matrix tile width does not match kernel");
   }
@@ -179,44 +181,37 @@ void bgemm_binarize_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows,
   const std::int64_t bits = a.cols();
   const std::int64_t tiled_rows = w.tiled_rows();
   const std::int64_t out_words = out.words_per_row();
-  pool.parallel_for(m_rows * out_words, [&](runtime::Range r, int) {
+  // Word-major over the fused (output word, row) range: consecutive grains
+  // share one 64-neuron weight block and its integer bounds, which are
+  // recomputed only when the word changes.
+  pool.parallel_for(out_words * m_rows, [&](runtime::Range r, int) {
+    std::int64_t bound[64];
+    std::int64_t bound_word = -1;
     for (std::int64_t idx = r.begin; idx < r.end; ++idx) {
-      const std::int64_t m = idx / out_words;
-      const std::int64_t wi = idx - m * out_words;
-      const std::uint64_t* xa = a.row(m);
+      const std::int64_t wi = idx / m_rows;
+      const std::int64_t m = idx - wi * m_rows;
       const std::int64_t k0 = wi * 64;
-      const std::int64_t block = std::min<std::int64_t>(64, k_rows - k0);
-      std::uint64_t packed = 0;
-      std::int64_t b = 0;
-      // k0 is a multiple of 64, hence of kT, so tiles align to this word's
-      // bit positions; kT divides 64, so no tile straddles the word.
-      for (; b < block && k0 + b < tiled_rows; b += kT) {
-        Tile acc{};
-        const std::uint64_t* f = w.tile_block((k0 + b) / kT);
-        for (std::int64_t nw = 0; nw < n_words; ++nw, f += kT) {
-          acc.accumulate(xa[nw], f);
-        }
-        std::uint64_t pops[kT];
-        acc.reduce(pops);
-        for (std::int64_t l = 0; l < kT; ++l) {
-          const std::int64_t k = k0 + b + l;
-          const float dot = static_cast<float>(bits - 2 * static_cast<std::int64_t>(pops[l]));
-          const float th = thresholds != nullptr ? thresholds[k] : 0.0f;
-          packed |= static_cast<std::uint64_t>(dot >= th) << (b + l);
-        }
+      const std::int64_t k_end = std::min<std::int64_t>(k0 + 64, k_rows);
+      if (wi != bound_word) {
+        popcount_bounds(bits, thresholds, k0, k_end, bound);
+        bound_word = wi;
       }
-      for (; b < block; ++b) {
-        const std::uint64_t p =
-            Ops::xor_popcount(xa, w.remainder_row(k0 + b - tiled_rows), n_words);
-        const float dot = static_cast<float>(bits - 2 * static_cast<std::int64_t>(p));
-        const float th = thresholds != nullptr ? thresholds[k0 + b] : 0.0f;
-        packed |= static_cast<std::uint64_t>(dot >= th) << b;
-      }
-      out.row(m)[wi] = packed;
+      const std::uint64_t* xa = a.row(m);
+      out.row(m)[wi] = binarize_word<Tile>(
+          k0, k_end, tiled_rows, bound,
+          [&](Tile& acc, std::int64_t t) {
+            const std::uint64_t* f = w.tile_block(t);
+            for (std::int64_t nw = 0; nw < n_words; ++nw, f += kT) acc.accumulate(xa[nw], f);
+          },
+          [&](std::int64_t k) {
+            return static_cast<std::int64_t>(
+                Ops::xor_popcount(xa, w.remainder_row(k - tiled_rows), n_words));
+          });
     }
   });
 }
 
+}  // namespace
 }  // namespace bitflow::kernels::impl
 
 /// Stamps out the filter-major row-limited bgemm entry points for one ISA

@@ -23,16 +23,18 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 
+#include "kernels/binarize_impl.hpp"
 #include "kernels/conv_spec.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/packed_tensor.hpp"
 #include "tensor/tensor.hpp"
 
+// Internal linkage, as in binarize_impl.hpp.
 namespace bitflow::kernels::impl {
+namespace {
 
 /// Specialized inner body for the dominant BNN case of 3x3 filters over a
 /// single packed word per pixel (C <= 64, e.g. VGG conv2.1): the nine
@@ -271,21 +273,6 @@ inline std::uint64_t gather_window(const std::uint64_t* window, std::int64_t kh,
   return a;
 }
 
-/// The binarize test `float(bits - 2*pops) >= th` as an integer bound on
-/// pops: since bits - 2*pops is an exact integer, it holds iff
-/// pops <= floor((bits - ceil(th)) / 2).  Clamped to [-1, bits]: -1 never
-/// passes (NaN, +inf, th > bits), `bits` always does (-inf, th <= -bits).
-/// A null threshold array means th = 0.
-inline std::int64_t popcount_bound(std::int64_t bits, const float* thresholds,
-                                   std::int64_t k) noexcept {
-  if (thresholds == nullptr) return bits / 2;
-  const float th = thresholds[k];
-  if (std::isnan(th)) return -1;
-  const double b =
-      std::floor((static_cast<double>(bits) - std::ceil(static_cast<double>(th))) / 2.0);
-  return static_cast<std::int64_t>(std::clamp(b, -1.0, static_cast<double>(bits)));
-}
-
 template <typename Tile>
 void conv_dot_folded_batch(const PackedTensor* const* in, std::int64_t n,
                            const TiledFilterBank& filters, const ConvSpec& spec,
@@ -330,69 +317,63 @@ void conv_dot_folded_batch(const PackedTensor* const* in, std::int64_t n,
   });
 }
 
-template <typename Tile>
-void conv_binarize_folded_batch(const PackedTensor* const* in, std::int64_t n,
-                                const TiledFilterBank& filters, const ConvSpec& spec,
-                                const float* thresholds, runtime::ThreadPool& pool,
-                                PackedTensor* const* out, std::int64_t margin) {
-  constexpr std::int64_t kT = Tile::kWidth;
+/// Shared loop of the tiled binarize kernels: one 64-filter output word at
+/// a time, so a chunk's integer bounds for that word sit on the stack, then
+/// `pixel_word(window, k0, k_end, bound)` packs the word of every output
+/// pixel in the chunk from its window origin in the input.
+template <typename PixelWord>
+void conv_binarize_words(const PackedTensor* const* in, std::int64_t n,
+                         const TiledFilterBank& filters, const ConvSpec& spec,
+                         const float* thresholds, runtime::ThreadPool& pool,
+                         PackedTensor* const* out, std::int64_t margin, PixelWord&& pixel_word) {
   const std::int64_t out_h = spec.out_h(in[0]->height());
   const std::int64_t out_w = spec.out_w(in[0]->width());
   const std::int64_t pixels = out_h * out_w;
-  const std::int64_t kh = filters.kernel_h(), kw = filters.kernel_w(), c = filters.channels();
+  const std::int64_t pc = in[0]->words_per_pixel();
   const std::int64_t bits = filters.bits_per_filter();
   const std::int64_t num_k = filters.num_filters();
   const std::int64_t in_w = in[0]->width();
   const std::int64_t stride = spec.stride;
-  const TiledBitMatrix& bank = filters.rows();
-  const std::int64_t tiled_rows = bank.tiled_rows();
 
   pool.parallel_for(n * pixels, spec.par_grain, [&](runtime::Range r, int) {
-    // One 64-filter output word at a time, so the chunk's integer bounds
-    // for that word sit on the stack.  kT divides 64: a block's filters are
-    // whole tiles [t_begin, t_end) followed by (last block only) the K % kT
-    // remainder rows.
     for (std::int64_t k0 = 0; k0 < num_k; k0 += 64) {
       const std::int64_t k_end = std::min<std::int64_t>(k0 + 64, num_k);
       std::int64_t bound[64];
-      for (std::int64_t k = k0; k < k_end; ++k) {
-        bound[k - k0] = popcount_bound(bits, thresholds, k);
-      }
-      const std::int64_t t_begin = k0 / kT;
-      const std::int64_t t_end = std::min(k_end, tiled_rows) / kT;
-      const std::int64_t rem_begin = std::max(k0, tiled_rows);
+      popcount_bounds(bits, thresholds, k0, k_end, bound);
       for (std::int64_t idx = r.begin; idx < r.end; ++idx) {
         const std::int64_t img = idx / pixels;
         const std::int64_t pix = idx - img * pixels;
         const std::int64_t y = pix / out_w;
         const std::int64_t x = pix % out_w;
-        const std::uint64_t a =
-            gather_window(in[img]->words() + (y * stride) * in_w + x * stride, kh, kw, in_w, c);
-        std::uint64_t packed = 0;
-        for (std::int64_t t = t_begin; t < t_end; ++t) {
-          Tile acc{};
-          acc.accumulate(a, bank.tile_block(t));
-          std::uint64_t pops[kT];
-          acc.reduce(pops);
-          // Lane bits at constant offsets, then one shift into place.
-          const std::int64_t b0 = t * kT - k0;
-          std::uint64_t lanes = 0;
-          for (std::int64_t l = 0; l < kT; ++l) {
-            lanes |= static_cast<std::uint64_t>(static_cast<std::int64_t>(pops[l]) <=
-                                                bound[b0 + l])
-                     << l;
-          }
-          packed |= lanes << b0;
-        }
-        for (std::int64_t k = rem_begin; k < k_end; ++k) {
-          const std::int64_t pops =
-              __builtin_popcountll(a ^ bank.remainder_row(k - tiled_rows)[0]);
-          packed |= static_cast<std::uint64_t>(pops <= bound[k - k0]) << (k - k0);
-        }
-        out[img]->pixel(y + margin, x + margin)[k0 / 64] = packed;
+        const std::uint64_t* window =
+            in[img]->words() + ((y * stride) * in_w + (x * stride)) * pc;
+        out[img]->pixel(y + margin, x + margin)[k0 / 64] = pixel_word(window, k0, k_end, bound);
       }
     }
   });
+}
+
+template <typename Tile>
+void conv_binarize_folded_batch(const PackedTensor* const* in, std::int64_t n,
+                                const TiledFilterBank& filters, const ConvSpec& spec,
+                                const float* thresholds, runtime::ThreadPool& pool,
+                                PackedTensor* const* out, std::int64_t margin) {
+  const std::int64_t kh = filters.kernel_h(), kw = filters.kernel_w(), c = filters.channels();
+  const std::int64_t in_w = in[0]->width();
+  const TiledBitMatrix& bank = filters.rows();
+  const std::int64_t tiled_rows = bank.tiled_rows();
+  conv_binarize_words(
+      in, n, filters, spec, thresholds, pool, out, margin,
+      [&](const std::uint64_t* window, std::int64_t k0, std::int64_t k_end,
+          const std::int64_t* bound) {
+        const std::uint64_t a = gather_window(window, kh, kw, in_w, c);
+        return binarize_word<Tile>(
+            k0, k_end, tiled_rows, bound,
+            [&](Tile& acc, std::int64_t t) { acc.accumulate(a, bank.tile_block(t)); },
+            [&](std::int64_t k) -> std::int64_t {
+              return __builtin_popcountll(a ^ bank.remainder_row(k - tiled_rows)[0]);
+            });
+      });
 }
 
 // --- register-tiled variants over the interleaved weight layout --------------
@@ -473,88 +454,95 @@ void conv_dot_tiled_batch_impl(const PackedTensor* const* in, std::int64_t n,
   });
 }
 
+/// The window walk of the tiled binarize kernel.  kKh and kRowWords are the
+/// kernel rows and the kw * words_per_pixel words per row when known at
+/// compile time (0 = read from the bank): a 3x3 window of one or two words
+/// per pixel (VGG C = 64 and C = 128 layers) then loads its 9 or 18 window
+/// words once per pixel and output word, and every tile is a straight run
+/// of accumulates over registers.  Rows of 12 words (C = 256) measured no
+/// gain, so wider windows take the loop.
+template <typename Ops, typename Tile, std::int64_t kKh = 0, std::int64_t kRowWords = 0>
+void conv_binarize_window_batch(const PackedTensor* const* in, std::int64_t n,
+                                const TiledFilterBank& filters, const ConvSpec& spec,
+                                const float* thresholds, runtime::ThreadPool& pool,
+                                PackedTensor* const* out, std::int64_t margin) {
+  constexpr std::int64_t kT = Tile::kWidth;
+  const std::int64_t pc = in[0]->words_per_pixel();
+  const std::int64_t kh = kKh != 0 ? kKh : filters.kernel_h();
+  const std::int64_t row_words = kRowWords != 0 ? kRowWords : filters.kernel_w() * pc;
+  const std::int64_t pitch = in[0]->width() * pc;
+  const TiledBitMatrix& bank = filters.rows();
+  const std::int64_t tiled_rows = bank.tiled_rows();
+  conv_binarize_words(
+      in, n, filters, spec, thresholds, pool, out, margin,
+      [&](const std::uint64_t* window, std::int64_t k0, std::int64_t k_end,
+          const std::int64_t* bound) {
+        const auto row_popcount = [&](std::int64_t k) {
+          const std::uint64_t* f0 = bank.remainder_row(k - tiled_rows);
+          std::uint64_t pops = 0;
+          for (std::int64_t i = 0; i < kh; ++i) {
+            pops += Ops::xor_popcount(window + i * pitch, f0 + i * row_words, row_words);
+          }
+          return static_cast<std::int64_t>(pops);
+        };
+        if constexpr (kRowWords != 0) {
+          std::uint64_t a[kKh * kRowWords];
+          for (std::int64_t i = 0; i < kKh; ++i) {
+            for (std::int64_t w = 0; w < kRowWords; ++w) {
+              a[i * kRowWords + w] = window[i * pitch + w];
+            }
+          }
+          return binarize_word<Tile>(
+              k0, k_end, tiled_rows, bound,
+              [&](Tile& acc, std::int64_t t) {
+                const std::uint64_t* f = bank.tile_block(t);
+                for (std::int64_t j = 0; j < kKh * kRowWords; ++j) {
+                  acc.accumulate(a[j], f + j * kT);
+                }
+              },
+              row_popcount);
+        } else {
+          // The interleaved block walks word-major over the whole filter, so
+          // `f` just advances by kT per activation word across kernel rows.
+          return binarize_word<Tile>(
+              k0, k_end, tiled_rows, bound,
+              [&](Tile& acc, std::int64_t t) {
+                const std::uint64_t* f = bank.tile_block(t);
+                for (std::int64_t i = 0; i < kh; ++i) {
+                  const std::uint64_t* row = window + i * pitch;
+                  for (std::int64_t w = 0; w < row_words; ++w, f += kT) acc.accumulate(row[w], f);
+                }
+              },
+              row_popcount);
+        }
+      });
+}
+
 template <typename Ops, typename Tile>
 void conv_binarize_tiled_batch_impl(const PackedTensor* const* in, std::int64_t n,
                                     const TiledFilterBank& filters, const ConvSpec& spec,
                                     const float* thresholds, runtime::ThreadPool& pool,
                                     PackedTensor* const* out, std::int64_t margin) {
-  constexpr std::int64_t kT = Tile::kWidth;
-  static_assert(64 % Tile::kWidth == 0, "filter tiles must not straddle output words");
-  if (filters.tile() != kT) {
+  if (filters.tile() != Tile::kWidth) {
     throw std::invalid_argument("PressedConv tiled: bank tile width does not match kernel");
   }
   if (filters.folded()) {
     conv_binarize_folded_batch<Tile>(in, n, filters, spec, thresholds, pool, out, margin);
     return;
   }
-  const std::int64_t out_h = spec.out_h(in[0]->height());
-  const std::int64_t out_w = spec.out_w(in[0]->width());
-  const std::int64_t pixels = out_h * out_w;
-  const std::int64_t kh = filters.kernel_h();
-  const std::int64_t pc = in[0]->words_per_pixel();
-  const std::int64_t row_words = filters.kernel_w() * pc;
-  const std::int64_t bits = filters.bits_per_filter();
-  const std::int64_t num_k = filters.num_filters();
-  const std::int64_t in_w = in[0]->width();
-  const std::int64_t stride = spec.stride;
-  const TiledBitMatrix& bank = filters.rows();
-  const std::int64_t full_tiles = bank.full_tiles();
-
-  pool.parallel_for(n * pixels, spec.par_grain, [&](runtime::Range r, int) {
-    for (std::int64_t idx = r.begin; idx < r.end; ++idx) {
-      const std::int64_t img = idx / pixels;
-      const std::int64_t pix = idx - img * pixels;
-      const std::int64_t y = pix / out_w;
-      const std::int64_t x = pix % out_w;
-      const std::uint64_t* window =
-          in[img]->words() + ((y * stride) * in_w + (x * stride)) * pc;
-      std::uint64_t* out_px = out[img]->pixel(y + margin, x + margin);
-      std::uint64_t packed = 0;
-      std::int64_t bit = 0, word_idx = 0, k = 0;
-      for (std::int64_t t = 0; t < full_tiles; ++t) {
-        Tile acc{};
-        const std::uint64_t* f = bank.tile_block(t);
-        for (std::int64_t i = 0; i < kh; ++i) {
-          const std::uint64_t* row = window + i * in_w * pc;
-          for (std::int64_t w = 0; w < row_words; ++w, f += kT) {
-            acc.accumulate(row[w], f);
-          }
-        }
-        std::uint64_t pops[kT];
-        acc.reduce(pops);
-        // kT divides 64, so a tile's bits never split across output words
-        // and `bit` can only hit 64 between tiles.
-        for (std::int64_t l = 0; l < kT; ++l, ++k) {
-          const float dot = static_cast<float>(bits - 2 * static_cast<std::int64_t>(pops[l]));
-          const float th = thresholds != nullptr ? thresholds[k] : 0.0f;
-          packed |= static_cast<std::uint64_t>(dot >= th) << bit;
-          if (++bit == 64) {
-            out_px[word_idx++] = packed;
-            packed = 0;
-            bit = 0;
-          }
-        }
-      }
-      for (; k < num_k; ++k) {
-        const std::uint64_t* f0 = bank.remainder_row(k - full_tiles * kT);
-        std::uint64_t pops = 0;
-        for (std::int64_t i = 0; i < kh; ++i) {
-          pops += Ops::xor_popcount(window + i * in_w * pc, f0 + i * row_words, row_words);
-        }
-        const float dot = static_cast<float>(bits - 2 * static_cast<std::int64_t>(pops));
-        const float th = thresholds != nullptr ? thresholds[k] : 0.0f;
-        packed |= static_cast<std::uint64_t>(dot >= th) << bit;
-        if (++bit == 64) {
-          out_px[word_idx++] = packed;
-          packed = 0;
-          bit = 0;
-        }
-      }
-      if (bit > 0) out_px[word_idx] = packed;
-    }
-  });
+  const std::int64_t row_words = filters.kernel_w() * in[0]->words_per_pixel();
+  if (filters.kernel_h() == 3 && row_words == 3) {
+    conv_binarize_window_batch<Ops, Tile, 3, 3>(in, n, filters, spec, thresholds, pool, out,
+                                                margin);
+  } else if (filters.kernel_h() == 3 && row_words == 6) {
+    conv_binarize_window_batch<Ops, Tile, 3, 6>(in, n, filters, spec, thresholds, pool, out,
+                                                margin);
+  } else {
+    conv_binarize_window_batch<Ops, Tile>(in, n, filters, spec, thresholds, pool, out, margin);
+  }
 }
 
+}  // namespace
 }  // namespace bitflow::kernels::impl
 
 /// Stamps out the filter-major batch entry points for one ISA policy.  Used

@@ -6,7 +6,9 @@
 // for the whole filter-block word loop: accumulate(a, f) broadcasts one
 // activation word against kWidth *contiguous* filter words (one interleaved
 // tile row, at most one cache line) and adds the kWidth xor+popcounts into
-// the counters; reduce() spills them exactly once per filter block.  This is
+// the counters; reduce() spills them exactly once per filter block, and
+// le_mask(bound) is the binarize epilogue's lane compare: bit l is set iff
+// counter l <= bound[l], tested in the accumulator's own registers.  This is
 // the dual of bitops_inline.hpp's word-run primitives: there the activation
 // run streams against one filter, here one activation word fans out across a
 // tile of filters.
@@ -25,6 +27,12 @@
 #include "simd/bitops_inline.hpp"
 
 namespace bitflow::simd::inl {
+
+/// One lane of a scalar tile's le_mask: counter <= bound, as bit 0.  The
+/// bound may be -1 (never passes), so the compare is signed.
+inline std::uint64_t le(std::uint64_t count, std::int64_t bound) noexcept {
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(count) <= bound);
+}
 
 /// 4-filter tile in four independent scalar 64-bit lanes (u64 and SSE
 /// kernels: hardware popcnt has no vector form below AVX-512VPOPCNTDQ, so
@@ -45,6 +53,11 @@ struct TileAcc4Scalar {
     out[1] = c1;
     out[2] = c2;
     out[3] = c3;
+  }
+
+  inline std::uint64_t le_mask(const std::int64_t* bound) const noexcept {
+    return le(c0, bound[0]) | le(c1, bound[1]) << 1 | le(c2, bound[2]) << 2 |
+           le(c3, bound[3]) << 3;
   }
 };
 
@@ -78,9 +91,23 @@ struct TileAcc8Scalar {
     out[6] = c6;
     out[7] = c7;
   }
+
+  inline std::uint64_t le_mask(const std::int64_t* bound) const noexcept {
+    return le(c0, bound[0]) | le(c1, bound[1]) << 1 | le(c2, bound[2]) << 2 |
+           le(c3, bound[3]) << 3 | le(c4, bound[4]) << 4 | le(c5, bound[5]) << 5 |
+           le(c6, bound[6]) << 6 | le(c7, bound[7]) << 7;
+  }
 };
 
 #ifdef __AVX2__
+
+/// Four-bit mask of the qword lanes of `counts` greater than bound[0..3]
+/// (signed: a bound of -1 is below every count).
+inline std::uint64_t gt_mask_256(__m256i counts, const std::int64_t* bound) noexcept {
+  const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bound));
+  return static_cast<std::uint64_t>(
+      _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(counts, b))));
+}
 
 /// 8-filter tile in two 256-bit qword accumulators: one broadcast activation
 /// word is XORed against 8 contiguous filter words, per-byte LUT popcounts
@@ -106,6 +133,10 @@ struct TileAcc8Avx2 {
   inline void reduce(std::uint64_t* out) const noexcept {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), lo);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4), hi);
+  }
+
+  inline std::uint64_t le_mask(const std::int64_t* bound) const noexcept {
+    return (gt_mask_256(lo, bound) | gt_mask_256(hi, bound + 4) << 4) ^ 0xFFu;
   }
 };
 
@@ -144,6 +175,12 @@ struct TileAcc16Avx2 {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8), c2);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 12), c3);
   }
+
+  inline std::uint64_t le_mask(const std::int64_t* bound) const noexcept {
+    return (gt_mask_256(c0, bound) | gt_mask_256(c1, bound + 4) << 4 |
+            gt_mask_256(c2, bound + 8) << 8 | gt_mask_256(c3, bound + 12) << 12) ^
+           0xFFFFu;
+  }
 };
 
 #endif  // __AVX2__
@@ -167,6 +204,10 @@ struct TileAcc8Avx512 {
   inline void reduce(std::uint64_t* out) const noexcept {
     _mm512_storeu_si512(out, acc);
   }
+
+  inline std::uint64_t le_mask(const std::int64_t* bound) const noexcept {
+    return _mm512_cmple_epi64_mask(acc, _mm512_loadu_si512(bound));
+  }
 };
 
 /// 16-filter tile in two 512-bit qword accumulators: one broadcast against
@@ -189,6 +230,12 @@ struct TileAcc16Avx512 {
   inline void reduce(std::uint64_t* out) const noexcept {
     _mm512_storeu_si512(out, lo);
     _mm512_storeu_si512(out + 8, hi);
+  }
+
+  inline std::uint64_t le_mask(const std::int64_t* bound) const noexcept {
+    return _mm512_cmple_epi64_mask(lo, _mm512_loadu_si512(bound)) |
+           static_cast<std::uint64_t>(_mm512_cmple_epi64_mask(hi, _mm512_loadu_si512(bound + 8)))
+               << 8;
   }
 };
 

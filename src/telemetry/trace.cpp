@@ -42,6 +42,7 @@ struct TraceSlot {
   std::atomic<const char*> cat{nullptr};
   std::atomic<std::uint8_t> text_len{0};  // bytes of `text` in use
   std::atomic<char> ph{'X'};              // 'X' complete, 'a' async, 'i' instant
+  std::atomic<std::uint32_t> tid{0};      // writer; relaxed (rings change hands)
   // Ordering contract: relaxed, as above — name '\0' [detail '\0'], eight
   // bytes per word.
   std::atomic<std::uint64_t> text[kTextWords];
@@ -53,13 +54,18 @@ struct TraceSlot {
 // through this load.
 std::atomic<std::size_t> g_ring_capacity{1 << 16};
 
-/// One thread's overwrite-oldest ring.
+/// One thread's overwrite-oldest ring.  When its thread exits the ring is
+/// retired: its records stay readable until the next session arms, and the
+/// next thread to register takes it over, so the ring count is bounded by
+/// the most threads ever tracing at once, not by how many came and went.
 struct ThreadRing {
   ThreadRing(std::size_t cap, std::uint32_t tid)
       : slots(new TraceSlot[cap]), capacity(cap), tid(tid) {}
 
   // `slots` and `capacity` change only on the owning thread, under the
-  // trace mutex (resize below); every other reader holds that mutex.
+  // trace mutex (resize below); every other reader holds that mutex.  A
+  // change of owner (retire, then take-over) also happens under that
+  // mutex, which orders the old owner's writes before the new owner's.
   std::unique_ptr<TraceSlot[]> slots;
   std::size_t capacity;
   // Ordering contract: written only by the owning thread — relaxed load,
@@ -69,7 +75,8 @@ struct ThreadRing {
   std::atomic<std::uint64_t> head{0};
   std::size_t pos = 0;      // head % capacity; owning thread only
   std::uint64_t floor = 0;  // head when the session armed; trace mutex
-  const std::uint32_t tid;
+  std::uint32_t tid;        // the owner's id; set under the trace mutex
+  bool retired = false;     // the owner exited; trace mutex
 
   void push(const char* name, const char* detail, const char* cat,
             std::uint64_t start, std::uint64_t end, std::uint64_t arg_or_id,
@@ -89,9 +96,10 @@ struct TraceState {
   std::uint32_t next_tid BF_GUARDED_BY(mu) = 1;
   // Ordering contract: relaxed fetch_add — ids only need uniqueness.
   std::atomic<std::uint64_t> next_async_id{1};
-  // Rings live for the whole process: a thread that exits keeps its events.
-  // The vector is guarded; the pointed-to rings are lock-free (see above).
-  std::vector<std::shared_ptr<ThreadRing>> rings BF_GUARDED_BY(mu);
+  // A retired ring lives until a new thread takes it over or a session
+  // arms or stops.  The vector is guarded; the pointed-to rings are
+  // lock-free (see above).
+  std::vector<std::unique_ptr<ThreadRing>> rings BF_GUARDED_BY(mu);
 };
 
 std::uint64_t dropped_locked(TraceState& st) BF_REQUIRES(st.mu) {
@@ -116,6 +124,11 @@ TraceState& state() {
       TraceState& locked = *st;
       core::MutexLock lock(locked.mu);
       return static_cast<double>(dropped_locked(locked));
+    });
+    registry().add_callback_gauge(st, "telemetry.trace.rings", "", [st] {
+      TraceState& locked = *st;
+      core::MutexLock lock(locked.mu);
+      return static_cast<double>(locked.rings.size());
     });
     return st;
   }();
@@ -160,6 +173,7 @@ void ThreadRing::push(const char* name, const char* detail, const char* cat,
   s.cat.store(cat, std::memory_order_relaxed);
   s.ph.store(kind, std::memory_order_relaxed);
   s.text_len.store(static_cast<std::uint8_t>(len), std::memory_order_relaxed);
+  s.tid.store(tid, std::memory_order_relaxed);
   for (std::size_t w = 0; w * 8 < len; ++w) {
     std::uint64_t word = 0;
     std::memcpy(&word, buf + w * 8, 8);
@@ -181,7 +195,7 @@ void read_ring_locked(const ThreadRing& r, std::vector<TraceRecord>& out) {
     const std::uint64_t s1 = s.seq.load(std::memory_order_acquire);
     if (s1 != 2 * i + 2) continue;  // overwritten by a newer lap
     TraceRecord rec;
-    rec.tid = r.tid;
+    rec.tid = s.tid.load(std::memory_order_relaxed);
     rec.seq = i;
     rec.start_ns = s.start_ns.load(std::memory_order_relaxed);
     rec.end_ns = s.end_ns.load(std::memory_order_relaxed);
@@ -209,19 +223,50 @@ void read_ring_locked(const ThreadRing& r, std::vector<TraceRecord>& out) {
   }
 }
 
+// The calling thread's ring, registered on its first record.  Both are
+// trivially destructible, so they stay readable while the thread's other
+// thread_local destructors run; t_exited then turns recording off.
+thread_local ThreadRing* t_ring = nullptr;
+thread_local bool t_exited = false;
+
+/// Retires the thread's ring when the thread exits (its destructor is
+/// registered the first time the thread records).
+struct RingRetirer {
+  RingRetirer() = default;
+  RingRetirer(const RingRetirer&) = delete;
+  RingRetirer& operator=(const RingRetirer&) = delete;
+  ~RingRetirer() {
+    if (t_ring != nullptr) {
+      TraceState& st = state();
+      core::MutexLock lock(st.mu);
+      t_ring->retired = true;
+    }
+    t_ring = nullptr;
+    t_exited = true;
+  }
+};
+thread_local RingRetirer t_retirer;
+
+/// Null once the thread is exiting.  A new thread takes over a retired ring
+/// when there is one: it keeps the previous owner's records (each slot
+/// carries its writer's tid) and overwrites them oldest first.
 ThreadRing* this_thread_ring() {
-  // One registration per (thread, process): the shared_ptr in the global
-  // list keeps the ring alive past thread exit, so the flusher never reads
-  // freed memory.
-  thread_local ThreadRing* ring = [] {
-    TraceState& st = state();
-    core::MutexLock lock(st.mu);
-    auto r = std::make_shared<ThreadRing>(
-        g_ring_capacity.load(std::memory_order_relaxed), st.next_tid++);
-    st.rings.push_back(r);
-    return r.get();
-  }();
-  return ring;
+  if (t_ring != nullptr || t_exited) return t_ring;
+  static_cast<void>(&t_retirer);
+  TraceState& st = state();
+  core::MutexLock lock(st.mu);
+  const auto retired =
+      std::find_if(st.rings.begin(), st.rings.end(), [](const auto& r) { return r->retired; });
+  if (retired != st.rings.end()) {
+    t_ring = retired->get();
+    t_ring->retired = false;
+    t_ring->tid = st.next_tid++;
+  } else {
+    st.rings.push_back(std::make_unique<ThreadRing>(
+        g_ring_capacity.load(std::memory_order_relaxed), st.next_tid++));
+    t_ring = st.rings.back().get();
+  }
+  return t_ring;
 }
 
 void json_escape_into(std::string& out, const char* s) {
@@ -248,8 +293,9 @@ TraceSnapshot snapshot_locked(TraceState& st) BF_REQUIRES(st.mu) {
 
 
 /// Starts a new session on every registered ring: records written before
-/// now no longer count.
+/// now no longer count, so the rings of exited threads are freed.
 void reset_rings_locked(TraceState& st) BF_REQUIRES(st.mu) {
+  std::erase_if(st.rings, [](const auto& r) { return r->retired; });
   for (auto& r : st.rings) r->floor = r->head.load(std::memory_order_relaxed);
 }
 
@@ -302,19 +348,23 @@ std::uint64_t now_ns() noexcept {
 
 void trace_record(const char* name, const char* cat, std::uint64_t start_ns,
                   std::uint64_t end_ns, std::int64_t arg, std::uint64_t rid) {
-  this_thread_ring()->push(name, nullptr, cat, start_ns, end_ns,
-                           static_cast<std::uint64_t>(arg), rid, 'X');
+  if (ThreadRing* r = this_thread_ring()) {
+    r->push(name, nullptr, cat, start_ns, end_ns, static_cast<std::uint64_t>(arg), rid, 'X');
+  }
 }
 
 void trace_record_async(const char* name, const char* cat, std::uint64_t start_ns,
                         std::uint64_t end_ns, std::uint64_t id, std::uint64_t rid) {
-  this_thread_ring()->push(name, nullptr, cat, start_ns, end_ns, id, rid, 'a');
+  if (ThreadRing* r = this_thread_ring()) {
+    r->push(name, nullptr, cat, start_ns, end_ns, id, rid, 'a');
+  }
 }
 
 void trace_record_instant(const char* name, const char* cat, std::uint64_t ts_ns,
                           std::uint64_t rid, const char* detail) noexcept {
-  this_thread_ring()->push(name, detail, cat, ts_ns, ts_ns,
-                           static_cast<std::uint64_t>(-1), rid, 'i');
+  if (ThreadRing* r = this_thread_ring()) {
+    r->push(name, detail, cat, ts_ns, ts_ns, static_cast<std::uint64_t>(-1), rid, 'i');
+  }
 }
 
 }  // namespace detail

@@ -43,6 +43,12 @@
 // TSan sees no plain-memory race.  Overwritten counts are reported in the
 // trace metadata and surfaced as the `telemetry.trace.dropped` registry
 // gauge.
+//
+// A thread that exits leaves its ring behind with its records, readable
+// until the next session arms or stops; the next thread to record takes
+// that ring over (each record keeps its writer's tid) instead of adding
+// one, so a server that churns threads holds as many rings as it ever ran
+// threads at once (the `telemetry.trace.rings` gauge), not one per thread.
 #pragma once
 
 #include <atomic>

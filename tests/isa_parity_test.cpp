@@ -803,6 +803,136 @@ TEST(IsaParity, FoldedConvBinarizeMatchesFilterMajorAllVariantsAndTiles) {
   }
 }
 
+// --- integer popcount-bound epilogue of the tiled binarize kernels ---------
+//
+// Every register-tiled binarize kernel tests `pops <= popcount_bound(th)`
+// instead of `float(bits - 2*pops) >= th`.  The bound must agree with the
+// float compare of the filter-major kernels for every threshold class, on
+// every ISA variant and every stamped tile width: words per pixel 1..3
+// (1 with a 3x3 window is the hoisted nine-word case), 1x1 and 5x5
+// windows, stride 2, margins 0..2, and K in {3, 64, 65, 130} so K < T,
+// K % T != 0 and K spanning several output words all occur.
+
+std::vector<ConvShape> bound_conv_shapes() {
+  return {
+      {9, 9, 64, 64, 3, 1, 1},     // 1 word, 3x3 (hoisted), K one output word
+      {8, 10, 20, 65, 3, 2, 0},    // 1 ragged word, 3x3 stride 2, K % T != 0
+      {7, 7, 64, 130, 3, 1, 2},    // 1 word, 3x3, three output words
+      {6, 7, 33, 3, 3, 1, 0},      // 1 word, 3x3, K below every tile width
+      {7, 6, 100, 65, 3, 1, 1},    // 2 words, 3x3
+      {6, 6, 128, 130, 3, 2, 2},   // 2 words, 3x3 stride 2
+      {6, 7, 150, 64, 3, 1, 0},    // 3 words, 3x3
+      {5, 5, 192, 3, 3, 1, 1},     // 3 words, K = 3
+      {5, 6, 64, 65, 1, 1, 0},     // 1x1, 1 word
+      {5, 5, 130, 130, 1, 2, 1},   // 1x1, 3 words, stride 2
+      {9, 8, 3, 64, 5, 1, 1},      // 5x5, 75 bits: too wide to fold
+      {9, 9, 100, 65, 5, 2, 2},    // 5x5, 2 words, stride 2
+  };
+}
+
+TEST(IsaParity, TiledConvBinarizeIntegerBoundAllVariantsAndTiles) {
+  runtime::ThreadPool pool(3);
+  const auto variants = simd::supported_isa_variants();
+  std::uint64_t seed = 18000;
+  for (const ConvShape& s : bound_conv_shapes()) {
+    const ConvSpec spec{s.kernel, s.kernel, s.stride};
+    const std::int64_t oh = spec.out_h(s.h), ow = spec.out_w(s.w);
+    PackedFilterBank filters(s.k, s.kernel, s.kernel, s.c);
+    fill_random_bits(filters, seed++);
+    const std::int64_t n = 2;
+    std::vector<PackedTensor> in;
+    std::vector<const PackedTensor*> in_ptrs;
+    for (std::int64_t b = 0; b < n; ++b) {
+      in.emplace_back(s.h, s.w, s.c);
+      fill_random_bits(in.back(), seed++);
+    }
+    for (const PackedTensor& t : in) in_ptrs.push_back(&t);
+    const std::vector<float> adversarial =
+        adversarial_thresholds(s.k, s.kernel * s.kernel * s.c, seed++);
+
+    for (const float* thresholds : {adversarial.data(), static_cast<const float*>(nullptr)}) {
+      const std::string th_name = thresholds != nullptr ? "adversarial" : "null";
+      auto make_outputs = [&](std::vector<PackedTensor>& t, std::vector<PackedTensor*>& p) {
+        for (std::int64_t b = 0; b < n; ++b) {
+          t.emplace_back(oh + 2 * s.margin, ow + 2 * s.margin, s.k);
+        }
+        for (PackedTensor& x : t) p.push_back(&x);
+      };
+      std::vector<PackedTensor> ref;
+      std::vector<PackedTensor*> ref_ptrs;
+      make_outputs(ref, ref_ptrs);
+      kernels::conv_binarize_batch_kernel(IsaLevel::kU64, false)(
+          in_ptrs.data(), n, filters, spec, thresholds, pool, ref_ptrs.data(), s.margin);
+      for (const IsaVariant& v : variants) {
+        const kernels::TileWidthSet widths = kernels::supported_tile_widths(v.isa);
+        for (std::int64_t i = 0; i < widths.count; ++i) {
+          const std::int64_t tile = widths.widths[static_cast<std::size_t>(i)];
+          const TiledFilterBank tiled = bitpack::tile_filters(filters, tile);
+          ASSERT_FALSE(tiled.folded()) << describe(s);
+          std::vector<PackedTensor> out;
+          std::vector<PackedTensor*> out_ptrs;
+          make_outputs(out, out_ptrs);
+          kernels::conv_binarize_tiled_batch_kernel(v.isa, v.use_vpopcntdq, tile)(
+              in_ptrs.data(), n, tiled, spec, thresholds, pool, out_ptrs.data(), s.margin);
+          // Whole-buffer compare: payload bits, zero tails and margin.
+          for (std::int64_t b = 0; b < n; ++b) {
+            const PackedTensor& o = out[static_cast<std::size_t>(b)];
+            const PackedTensor& r = ref[static_cast<std::size_t>(b)];
+            for (std::int64_t w = 0; w < r.num_words(); ++w) {
+              ASSERT_EQ(o.words()[w], r.words()[w])
+                  << "kernel conv_binarize_tiled_batch[" << v.name << ",t" << tile
+                  << "] image " << b << " word " << w
+                  << " diverges from the filter-major u64 kernel, " << th_name
+                  << " thresholds, shape " << describe(s);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaParity, TiledBgemmBinarizeIntegerBoundAllVariantsAndTiles) {
+  runtime::ThreadPool pool(3);
+  const auto variants = simd::supported_isa_variants();
+  const std::vector<GemmShape> shapes = {
+      {1, 1, 3},     {2, 64, 64},  {3, 513, 65},  {1, 1000, 130},
+      {2, 63, 130},  {1, 4096, 65}, {2, 200, 3},  {1, 130, 64},
+  };
+  std::uint64_t seed = 19000;
+  for (const GemmShape& s : shapes) {
+    // One row past m_rows, which every kernel must leave untouched.
+    const std::int64_t rows = s.m + 1;
+    PackedMatrix a(rows, s.n_bits), w(s.k, s.n_bits);
+    fill_random_bits(a, seed++);
+    fill_random_bits(w, seed++);
+    const std::vector<float> adversarial = adversarial_thresholds(s.k, s.n_bits, seed++);
+
+    for (const float* thresholds : {adversarial.data(), static_cast<const float*>(nullptr)}) {
+      const std::string th_name = thresholds != nullptr ? "adversarial" : "null";
+      PackedMatrix ref(rows, s.k);
+      kernels::bgemm_binarize_rows_kernel(IsaLevel::kU64, false)(a, s.m, w, thresholds, pool,
+                                                                 ref);
+      for (const IsaVariant& v : variants) {
+        const kernels::TileWidthSet widths = kernels::supported_tile_widths(v.isa);
+        for (std::int64_t i = 0; i < widths.count; ++i) {
+          const std::int64_t tile = widths.widths[static_cast<std::size_t>(i)];
+          const TiledBitMatrix tiled = bitpack::tile_fc_weights(w, tile);
+          PackedMatrix out(rows, s.k);
+          kernels::bgemm_binarize_rows_tiled_kernel(v.isa, v.use_vpopcntdq, tile)(
+              a, s.m, tiled, thresholds, pool, out);
+          for (std::int64_t wi = 0; wi < ref.num_words(); ++wi) {
+            ASSERT_EQ(out.words()[wi], ref.words()[wi])
+                << "kernel bgemm_binarize_rows_tiled[" << v.name << ",t" << tile
+                << "] diverges from the filter-major u64 kernel at word " << wi << ", "
+                << th_name << " thresholds, shape " << describe(s) << " m_rows=" << s.m;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(IsaParity, TiledKernelRejectsMismatchedTileWidth) {
   runtime::ThreadPool pool(1);
   PackedTensor in(4, 4, 8);

@@ -1,7 +1,8 @@
 // Trace-event sink: disabled-by-default contract, span recording through
 // real inference (batch-1 and batched, engine and network level), JSON
 // validity of the emitted file, well-nesting of the synchronous spans per
-// thread, matched async begin/end pairs, and overwrite-oldest overflow.
+// thread, matched async begin/end pairs, overwrite-oldest overflow, and
+// ring reuse across short-lived threads.
 //
 // The JSON checks use a purpose-built miniature parser (the trace writer
 // emits one event object per line), not a JSON library — the point is to
@@ -20,6 +21,7 @@
 #include "io/model.hpp"
 #include "models/vgg.hpp"
 #include "serve/engine.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "tensor/util.hpp"
 
@@ -306,6 +308,49 @@ TEST(Trace, PassiveRingWrapKeepsTheNewestSpans) {
   EXPECT_EQ(fill, kCapacity - 1);
   EXPECT_NE(json.find("\"dropped\":" + std::to_string(kFill + 1 - kCapacity)),
             std::string::npos);
+}
+
+/// Current value of the registry gauge `name`; -1 when it is not registered.
+double gauge_value(const std::string& name) {
+  for (const GaugeSample& g : registry().snapshot().gauges) {
+    if (g.name == name) return g.value;
+  }
+  return -1.0;
+}
+
+/// A traced process that keeps starting short-lived threads must not keep a
+/// ring per thread it ever ran: a new thread takes over a ring that an
+/// exited thread left, so the ring count stays at the most threads tracing
+/// at once.  The exited threads' records stay readable in the session that
+/// recorded them, each under its own thread id.
+TEST(Trace, ShortLivedThreadsReuseExitedRingsAndKeepTheirRecords) {
+  constexpr int kThreads = 32;
+  trace_arm_passive(256);
+  { TraceSpan span("churn.main", "test"); }  // the calling thread's ring
+  const double rings_before = gauge_value("telemetry.trace.rings");
+  ASSERT_GE(rings_before, 1.0) << "telemetry.trace.rings gauge missing";
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread t([i] { TraceSpan span("churn.span", "test", i); });
+    t.join();
+  }
+  const double rings_after = gauge_value("telemetry.trace.rings");
+  const TraceSnapshot snap = trace_snapshot();
+  trace_stop();
+
+  EXPECT_LE(rings_after, rings_before + 1.0)
+      << "every exited thread kept its own ring";
+  std::vector<bool> seen(kThreads, false);
+  std::map<std::uint32_t, int> per_tid;
+  for (const TraceRecord& r : snap.records) {
+    if (r.name != "churn.span") continue;
+    ASSERT_GE(r.arg, 0);
+    ASSERT_LT(r.arg, kThreads);
+    seen[static_cast<std::size_t>(r.arg)] = true;
+    ++per_tid[r.tid];
+  }
+  for (int i = 0; i < kThreads; ++i) EXPECT_TRUE(seen[static_cast<std::size_t>(i)]) << i;
+  EXPECT_EQ(per_tid.size(), static_cast<std::size_t>(kThreads))
+      << "each thread's records must keep that thread's id";
 }
 
 }  // namespace
