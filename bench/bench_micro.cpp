@@ -123,8 +123,9 @@ void BM_PressedConvDot(benchmark::State& state) {
   runtime::ThreadPool pool(1);
   const PackedTensor* ins[] = {&in};
   Tensor* outs[] = {&out};
-  const auto untiled_fn = kernels::conv_dot_batch_kernel(isa);
-  const auto tiled_fn = kernels::conv_dot_tiled_batch_kernel(isa);
+  const bool vp = simd::cpu_features().avx512vpopcntdq;
+  const auto untiled_fn = kernels::conv_dot_batch_kernel(isa, vp);
+  const auto tiled_fn = kernels::conv_dot_tiled_batch_kernel(isa, vp, bank.tile());
   for (auto _ : state) {
     if (tiled) {
       tiled_fn(ins, 1, bank, spec, pool, outs);

@@ -222,8 +222,9 @@ inline TiledConvResult measure_tiled_conv(simd::IsaLevel isa, std::int64_t h, st
   runtime::ThreadPool pool(1);
   const PackedTensor* ins[] = {&in};
   Tensor* outs[] = {&out};
-  const auto untiled_fn = kernels::conv_dot_batch_kernel(isa);
-  const auto tiled_fn = kernels::conv_dot_tiled_batch_kernel(isa);
+  const bool vp = simd::cpu_features().avx512vpopcntdq;
+  const auto untiled_fn = kernels::conv_dot_batch_kernel(isa, vp);
+  const auto tiled_fn = kernels::conv_dot_tiled_batch_kernel(isa, vp, tiled.tile());
   TiledConvResult r;
   r.isa = isa;
   r.tile = tiled.tile();

@@ -50,26 +50,15 @@ using BgemmBinarizeRowsTiledFn = void (*)(const PackedMatrix& a, std::int64_t m_
                                           const TiledBitMatrix& w, const float* thresholds,
                                           runtime::ThreadPool& pool, PackedMatrix& out);
 
-/// Returns the filter-major bgemm compiled for `isa` (hardware support is
-/// the caller's responsibility).  The overloads with `use_vpopcntdq` pick
-/// the byte-LUT or native-VPOPCNTDQ translation unit at kAvx512 explicitly
-/// rather than by CPUID (for the ISA-parity harness); the flag is ignored at
-/// narrower levels.
-[[nodiscard]] BgemmRowsFn bgemm_rows_kernel(simd::IsaLevel isa);
-[[nodiscard]] BgemmBinarizeRowsFn bgemm_binarize_rows_kernel(simd::IsaLevel isa);
+/// Kernel getters: one-line lookups in the ISA variant's KernelTable
+/// (kernels/kernel_table.hpp).  Hardware support is the caller's
+/// responsibility; `use_vpopcntdq` picks the byte-LUT or native-VPOPCNTDQ
+/// translation unit at kAvx512 and is ignored at narrower levels.
 [[nodiscard]] BgemmRowsFn bgemm_rows_kernel(simd::IsaLevel isa, bool use_vpopcntdq);
 [[nodiscard]] BgemmBinarizeRowsFn bgemm_binarize_rows_kernel(simd::IsaLevel isa,
                                                              bool use_vpopcntdq);
 
-/// Register-tiled kernel getters (interleaved weight layout).  Overloads
-/// without an explicit `tile` return the weight_tile_width(isa) default.
-[[nodiscard]] BgemmRowsTiledFn bgemm_rows_tiled_kernel(simd::IsaLevel isa);
-[[nodiscard]] BgemmBinarizeRowsTiledFn bgemm_binarize_rows_tiled_kernel(simd::IsaLevel isa);
-[[nodiscard]] BgemmRowsTiledFn bgemm_rows_tiled_kernel(simd::IsaLevel isa, bool use_vpopcntdq);
-[[nodiscard]] BgemmBinarizeRowsTiledFn bgemm_binarize_rows_tiled_kernel(simd::IsaLevel isa,
-                                                                        bool use_vpopcntdq);
-
-/// Tile-parameterized getters for the auto-tuner: `tile` must be one of
+/// Register-tiled getters (interleaved weight layout): `tile` must be one of
 /// supported_tile_widths(isa) (throws std::invalid_argument otherwise).
 [[nodiscard]] BgemmRowsTiledFn bgemm_rows_tiled_kernel(simd::IsaLevel isa, bool use_vpopcntdq,
                                                        std::int64_t tile);

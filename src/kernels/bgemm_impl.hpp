@@ -111,7 +111,7 @@ void bgemm_binarize_rows_impl(const PackedMatrix& a, std::int64_t m_rows, const 
 // tiled matrix and take the word-run path.
 //
 // Tile is an explicit template parameter (not Ops::Tile) so each per-ISA TU
-// can stamp one entry point per supported width — the auto-tuner's T axis.
+// can fill one KernelTable slot per supported width — the auto-tuner's T axis.
 
 template <typename Ops, typename Tile>
 void bgemm_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows, const TiledBitMatrix& w,
@@ -213,34 +213,3 @@ void bgemm_binarize_rows_tiled_impl(const PackedMatrix& a, std::int64_t m_rows,
 
 }  // namespace
 }  // namespace bitflow::kernels::impl
-
-/// Stamps out the filter-major row-limited bgemm entry points for one ISA
-/// policy.
-#define BITFLOW_INSTANTIATE_BGEMM(SUFFIX, OPS)                                                  \
-  namespace bitflow::kernels::detail {                                                          \
-  void bgemm_rows_##SUFFIX(const PackedMatrix& a, std::int64_t m_rows, const PackedMatrix& w,   \
-                           runtime::ThreadPool& pool, float* y) {                               \
-    impl::bgemm_rows_impl<OPS>(a, m_rows, w, pool, y);                                          \
-  }                                                                                             \
-  void bgemm_binarize_rows_##SUFFIX(const PackedMatrix& a, std::int64_t m_rows,                 \
-                                    const PackedMatrix& w, const float* thresholds,             \
-                                    runtime::ThreadPool& pool, PackedMatrix& out) {             \
-    impl::bgemm_binarize_rows_impl<OPS>(a, m_rows, w, thresholds, pool, out);                   \
-  }                                                                                             \
-  }  // namespace bitflow::kernels::detail
-
-/// Stamps out the register-tiled bgemm entry points for one (ISA policy,
-/// tile accumulator) pair — one invocation per supported tile width.
-#define BITFLOW_INSTANTIATE_BGEMM_TILED(SUFFIX, OPS, TILE)                                      \
-  namespace bitflow::kernels::detail {                                                          \
-  void bgemm_rows_tiled_##SUFFIX(const PackedMatrix& a, std::int64_t m_rows,                    \
-                                 const TiledBitMatrix& w, runtime::ThreadPool& pool,            \
-                                 float* y) {                                                    \
-    impl::bgemm_rows_tiled_impl<OPS, TILE>(a, m_rows, w, pool, y);                              \
-  }                                                                                             \
-  void bgemm_binarize_rows_tiled_##SUFFIX(const PackedMatrix& a, std::int64_t m_rows,           \
-                                          const TiledBitMatrix& w, const float* thresholds,     \
-                                          runtime::ThreadPool& pool, PackedMatrix& out) {       \
-    impl::bgemm_binarize_rows_tiled_impl<OPS, TILE>(a, m_rows, w, thresholds, pool, out);       \
-  }                                                                                             \
-  }  // namespace bitflow::kernels::detail

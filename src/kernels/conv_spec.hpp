@@ -48,9 +48,11 @@ enum class WeightLayout : std::uint8_t {
 }
 
 /// The register-tile widths an ISA has kernel instantiations for — the
-/// auto-tuner's candidate set.  Scalar/SSE stamp T in {4, 8} (independent
-/// popcnt chains); AVX2/AVX-512 add T = 16 (two/four vector accumulators).
-/// Every width divides 64 (tiles never straddle an output word).
+/// auto-tuner's candidate set, read from the non-null tile slots of the
+/// ISA's KernelTable (kernels/kernel_table.hpp).  Scalar/SSE stamp T in
+/// {4, 8} (independent popcnt chains); AVX2/AVX-512 add T = 16 (two/four
+/// vector accumulators).  Every width divides 64 (tiles never straddle an
+/// output word).
 struct TileWidthSet {
   std::array<std::int64_t, 3> widths{};
   std::int64_t count = 0;
@@ -62,10 +64,7 @@ struct TileWidthSet {
   }
 };
 
-[[nodiscard]] constexpr TileWidthSet supported_tile_widths(simd::IsaLevel isa) noexcept {
-  if (isa >= simd::IsaLevel::kAvx2) return TileWidthSet{{4, 8, 16}, 3};
-  return TileWidthSet{{4, 8, 0}, 2};
-}
+[[nodiscard]] TileWidthSet supported_tile_widths(simd::IsaLevel isa);
 
 /// Geometry of one convolution: filter extents and stride.  Output extents
 /// follow from the (already padded) input extents.

@@ -5,140 +5,30 @@
 #include <string>
 
 #include "core/check.hpp"
+#include "kernels/kernel_table.hpp"
 #include "simd/cpu_features.hpp"
 
 namespace bitflow::kernels {
 
-namespace detail {
-// Defined by BITFLOW_INSTANTIATE_PRESSEDCONV in the per-ISA TUs.
-#define BITFLOW_DECLARE_PRESSEDCONV(SUFFIX)                                                      \
-  void conv_dot_batch_##SUFFIX(const PackedTensor* const*, std::int64_t,                         \
-                               const PackedFilterBank&, const ConvSpec&, runtime::ThreadPool&,   \
-                               Tensor* const*);                                                  \
-  void conv_binarize_batch_##SUFFIX(const PackedTensor* const*, std::int64_t,                    \
-                                    const PackedFilterBank&, const ConvSpec&, const float*,      \
-                                    runtime::ThreadPool&, PackedTensor* const*, std::int64_t);
-BITFLOW_DECLARE_PRESSEDCONV(u64)
-BITFLOW_DECLARE_PRESSEDCONV(sse)
-BITFLOW_DECLARE_PRESSEDCONV(avx2)
-BITFLOW_DECLARE_PRESSEDCONV(avx512)
-BITFLOW_DECLARE_PRESSEDCONV(avx512vp)
-#undef BITFLOW_DECLARE_PRESSEDCONV
-
-// Defined by BITFLOW_INSTANTIATE_PRESSEDCONV_TILED in the per-ISA TUs, one
-// suffix per (ISA, tile width) pair the TU stamps.
-#define BITFLOW_DECLARE_PRESSEDCONV_TILED(SUFFIX)                                                \
-  void conv_dot_tiled_batch_##SUFFIX(const PackedTensor* const*, std::int64_t,                   \
-                                     const TiledFilterBank&, const ConvSpec&,                    \
-                                     runtime::ThreadPool&, Tensor* const*);                      \
-  void conv_binarize_tiled_batch_##SUFFIX(const PackedTensor* const*, std::int64_t,              \
-                                          const TiledFilterBank&, const ConvSpec&, const float*, \
-                                          runtime::ThreadPool&, PackedTensor* const*,            \
-                                          std::int64_t);
-BITFLOW_DECLARE_PRESSEDCONV_TILED(u64_t4)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(u64_t8)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(sse_t4)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(sse_t8)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx2_t4)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx2_t8)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx2_t16)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512_t4)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512_t8)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512_t16)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512vp_t4)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512vp_t8)
-BITFLOW_DECLARE_PRESSEDCONV_TILED(avx512vp_t16)
-#undef BITFLOW_DECLARE_PRESSEDCONV_TILED
-}  // namespace detail
-
-ConvDotBatchFn conv_dot_batch_kernel(simd::IsaLevel isa) {
-  return conv_dot_batch_kernel(isa, simd::cpu_features().avx512vpopcntdq);
-}
-
-ConvBinarizeBatchFn conv_binarize_batch_kernel(simd::IsaLevel isa) {
-  return conv_binarize_batch_kernel(isa, simd::cpu_features().avx512vpopcntdq);
-}
-
 ConvDotBatchFn conv_dot_batch_kernel(simd::IsaLevel isa, bool use_vpopcntdq) {
-  switch (isa) {
-    case simd::IsaLevel::kU64: return &detail::conv_dot_batch_u64;
-    case simd::IsaLevel::kSse: return &detail::conv_dot_batch_sse;
-    case simd::IsaLevel::kAvx2: return &detail::conv_dot_batch_avx2;
-    case simd::IsaLevel::kAvx512:
-      return use_vpopcntdq ? &detail::conv_dot_batch_avx512vp : &detail::conv_dot_batch_avx512;
-  }
-  throw std::invalid_argument("conv_dot_batch_kernel: bad ISA level");
+  return kernel_table(isa, use_vpopcntdq).conv_dot_batch;
 }
 
 ConvBinarizeBatchFn conv_binarize_batch_kernel(simd::IsaLevel isa, bool use_vpopcntdq) {
-  switch (isa) {
-    case simd::IsaLevel::kU64: return &detail::conv_binarize_batch_u64;
-    case simd::IsaLevel::kSse: return &detail::conv_binarize_batch_sse;
-    case simd::IsaLevel::kAvx2: return &detail::conv_binarize_batch_avx2;
-    case simd::IsaLevel::kAvx512:
-      return use_vpopcntdq ? &detail::conv_binarize_batch_avx512vp
-                           : &detail::conv_binarize_batch_avx512;
-  }
-  throw std::invalid_argument("conv_binarize_batch_kernel: bad ISA level");
+  return kernel_table(isa, use_vpopcntdq).conv_binarize_batch;
 }
-
-ConvDotTiledBatchFn conv_dot_tiled_batch_kernel(simd::IsaLevel isa) {
-  return conv_dot_tiled_batch_kernel(isa, simd::cpu_features().avx512vpopcntdq);
-}
-
-ConvBinarizeTiledBatchFn conv_binarize_tiled_batch_kernel(simd::IsaLevel isa) {
-  return conv_binarize_tiled_batch_kernel(isa, simd::cpu_features().avx512vpopcntdq);
-}
-
-ConvDotTiledBatchFn conv_dot_tiled_batch_kernel(simd::IsaLevel isa, bool use_vpopcntdq) {
-  return conv_dot_tiled_batch_kernel(isa, use_vpopcntdq, weight_tile_width(isa));
-}
-
-ConvBinarizeTiledBatchFn conv_binarize_tiled_batch_kernel(simd::IsaLevel isa,
-                                                          bool use_vpopcntdq) {
-  return conv_binarize_tiled_batch_kernel(isa, use_vpopcntdq, weight_tile_width(isa));
-}
-
-// Nested (ISA, tile width) dispatch shared by the two tile-parameterized
-// getters: every stamped suffix appears exactly once; an (isa, tile) pair
-// with no instantiation throws rather than silently falling back, so the
-// tuner can never commit a plan the kernel layer cannot execute.
-#define BITFLOW_TILED_DISPATCH(NAME)                                                            \
-  switch (isa) {                                                                                \
-    case simd::IsaLevel::kU64:                                                                  \
-      if (tile == 4) return &detail::NAME##_u64_t4;                                             \
-      if (tile == 8) return &detail::NAME##_u64_t8;                                             \
-      break;                                                                                    \
-    case simd::IsaLevel::kSse:                                                                  \
-      if (tile == 4) return &detail::NAME##_sse_t4;                                             \
-      if (tile == 8) return &detail::NAME##_sse_t8;                                             \
-      break;                                                                                    \
-    case simd::IsaLevel::kAvx2:                                                                 \
-      if (tile == 4) return &detail::NAME##_avx2_t4;                                            \
-      if (tile == 8) return &detail::NAME##_avx2_t8;                                            \
-      if (tile == 16) return &detail::NAME##_avx2_t16;                                          \
-      break;                                                                                    \
-    case simd::IsaLevel::kAvx512:                                                               \
-      if (tile == 4) return use_vpopcntdq ? &detail::NAME##_avx512vp_t4                         \
-                                          : &detail::NAME##_avx512_t4;                          \
-      if (tile == 8) return use_vpopcntdq ? &detail::NAME##_avx512vp_t8                         \
-                                          : &detail::NAME##_avx512_t8;                          \
-      if (tile == 16) return use_vpopcntdq ? &detail::NAME##_avx512vp_t16                       \
-                                           : &detail::NAME##_avx512_t16;                        \
-      break;                                                                                    \
-  }                                                                                             \
-  throw std::invalid_argument(#NAME "_kernel: no instantiation for (isa, tile " +               \
-                              std::to_string(tile) + ")")
 
 ConvDotTiledBatchFn conv_dot_tiled_batch_kernel(simd::IsaLevel isa, bool use_vpopcntdq,
                                                 std::int64_t tile) {
-  BITFLOW_TILED_DISPATCH(conv_dot_tiled_batch);
+  return tiled_slot(kernel_table(isa, use_vpopcntdq).conv_dot_tiled_batch, tile,
+                    "conv_dot_tiled_batch_kernel");
 }
 
 ConvBinarizeTiledBatchFn conv_binarize_tiled_batch_kernel(simd::IsaLevel isa,
                                                           bool use_vpopcntdq,
                                                           std::int64_t tile) {
-  BITFLOW_TILED_DISPATCH(conv_binarize_tiled_batch);
+  return tiled_slot(kernel_table(isa, use_vpopcntdq).conv_binarize_tiled_batch, tile,
+                    "conv_binarize_tiled_batch_kernel");
 }
 
 void check_conv_args(const PackedTensor& in, const PackedFilterBank& filters,
@@ -181,8 +71,9 @@ void pressed_conv_dot(const PackedTensor& in, const PackedFilterBank& filters,
   }
   const PackedTensor* in_ptr = &in;
   Tensor* out_ptr = &out;
-  conv_dot_batch_kernel(simd::cpu_features().best_isa())(&in_ptr, 1, filters, spec, pool,
-                                                         &out_ptr);
+  const simd::CpuFeatures& cpu = simd::cpu_features();
+  conv_dot_batch_kernel(cpu.best_isa(), cpu.avx512vpopcntdq)(&in_ptr, 1, filters, spec, pool,
+                                                             &out_ptr);
 }
 
 void pressed_conv_binarize(const PackedTensor& in, const PackedFilterBank& filters,
@@ -198,8 +89,9 @@ void pressed_conv_binarize(const PackedTensor& in, const PackedFilterBank& filte
   }
   const PackedTensor* in_ptr = &in;
   PackedTensor* out_ptr = &out;
-  conv_binarize_batch_kernel(simd::cpu_features().best_isa())(&in_ptr, 1, filters, spec,
-                                                              thresholds, pool, &out_ptr, margin);
+  const simd::CpuFeatures& cpu = simd::cpu_features();
+  conv_binarize_batch_kernel(cpu.best_isa(), cpu.avx512vpopcntdq)(
+      &in_ptr, 1, filters, spec, thresholds, pool, &out_ptr, margin);
 }
 
 }  // namespace bitflow::kernels

@@ -15,12 +15,13 @@
 //                  layer.  The per-output-channel threshold is how folded
 //                  batch-normalization enters a BNN at inference time.
 //
-// Each ISA variant is compiled in its own TU with exactly that ISA enabled;
-// the `*_kernel(isa)` getters return the variant, and the vector execution
-// scheduler (graph/scheduler.hpp) chooses `isa`.  Two weight layouts have
-// kernels: the filter-major bank of Algorithm 1 (the ops:: operators, the
-// paper benches and the parity reference) and the interleaved register-tile
-// bank, the only layout graph::BinaryNetwork runs.
+// Each ISA variant is compiled in its own TU with exactly that ISA enabled
+// and exports one KernelTable (kernels/kernel_table.hpp); the `*_kernel`
+// getters read the variant's entry, and the vector execution scheduler
+// (graph/scheduler.hpp) chooses `isa`.  Two weight layouts have kernels:
+// the filter-major bank of Algorithm 1 (the ops:: operators, the paper
+// benches and the parity reference) and the interleaved register-tile bank,
+// the only layout graph::BinaryNetwork runs.
 #pragma once
 
 #include <cstdint>
@@ -74,31 +75,21 @@ using ConvBinarizeTiledBatchFn = void (*)(const PackedTensor* const* in, std::in
                                           const float* thresholds, runtime::ThreadPool& pool,
                                           PackedTensor* const* out, std::int64_t margin);
 
-/// Returns the filter-major (paper Algorithm 1) kernel compiled for `isa`.
-/// The caller must have verified hardware support
-/// (simd::cpu_features().supports(isa)).  The overloads with
-/// `use_vpopcntdq` pin the variant: at kAvx512 it selects between the
-/// byte-LUT TU and the native-VPOPCNTDQ TU instead of deferring to CPUID
-/// (the ISA-parity harness exercises both on capable hosts); at narrower
-/// levels the flag is ignored.
-[[nodiscard]] ConvDotBatchFn conv_dot_batch_kernel(simd::IsaLevel isa);
-[[nodiscard]] ConvBinarizeBatchFn conv_binarize_batch_kernel(simd::IsaLevel isa);
+/// Kernel getters: one-line lookups in the ISA variant's KernelTable
+/// (kernels/kernel_table.hpp), which the per-ISA TUs export.  The caller
+/// must have verified hardware support (simd::cpu_features().supports(isa)).
+/// `use_vpopcntdq` pins the variant: at kAvx512 it selects between the
+/// byte-LUT TU and the native-VPOPCNTDQ TU (the engine passes
+/// simd::cpu_features().avx512vpopcntdq; the ISA-parity harness exercises
+/// both on capable hosts); at narrower levels the flag is ignored.
 [[nodiscard]] ConvDotBatchFn conv_dot_batch_kernel(simd::IsaLevel isa, bool use_vpopcntdq);
 [[nodiscard]] ConvBinarizeBatchFn conv_binarize_batch_kernel(simd::IsaLevel isa,
                                                              bool use_vpopcntdq);
 
-/// Register-tiled kernel getters (interleaved weight layout).  The bank's
-/// tile width must match the kernel's; the overloads without an explicit
-/// `tile` return the weight_tile_width(isa) default.
-[[nodiscard]] ConvDotTiledBatchFn conv_dot_tiled_batch_kernel(simd::IsaLevel isa);
-[[nodiscard]] ConvBinarizeTiledBatchFn conv_binarize_tiled_batch_kernel(simd::IsaLevel isa);
-[[nodiscard]] ConvDotTiledBatchFn conv_dot_tiled_batch_kernel(simd::IsaLevel isa,
-                                                              bool use_vpopcntdq);
-[[nodiscard]] ConvBinarizeTiledBatchFn conv_binarize_tiled_batch_kernel(simd::IsaLevel isa,
-                                                                        bool use_vpopcntdq);
-
-/// Tile-parameterized getters for the auto-tuner: `tile` must be one of
-/// supported_tile_widths(isa) (throws std::invalid_argument otherwise).
+/// Register-tiled getters (interleaved weight layout): `tile` must be one of
+/// supported_tile_widths(isa) and match the bank's tile width; an unstamped
+/// (isa, tile) throws std::invalid_argument.  The engine's default width is
+/// weight_tile_width(isa); the auto-tuner searches the rest.
 [[nodiscard]] ConvDotTiledBatchFn conv_dot_tiled_batch_kernel(simd::IsaLevel isa,
                                                               bool use_vpopcntdq,
                                                               std::int64_t tile);

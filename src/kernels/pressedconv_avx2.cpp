@@ -1,7 +1,6 @@
 // PressedConv, AVX2 kernel (scheduler rule 2: channel dimension a multiple
 // of 256 — e.g. VGG conv4.1 with C = 256).
-#include "kernels/bgemm_impl.hpp"
-#include "kernels/pressedconv_impl.hpp"
+#include "kernels/kernel_table_impl.hpp"
 #include "simd/bitops_inline.hpp"
 #include "simd/bitops_tile.hpp"
 
@@ -14,13 +13,10 @@ struct OpsAvx2 {
 };
 }  // namespace
 
-BITFLOW_INSTANTIATE_PRESSEDCONV(avx2, OpsAvx2)
-BITFLOW_INSTANTIATE_BGEMM(avx2, OpsAvx2)
-
-// Auto-tuner tile-width candidates: scalar 4-chain, vector 8 and 16.
-BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(avx2_t4, OpsAvx2, bitflow::simd::inl::TileAcc4Scalar)
-BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(avx2_t8, OpsAvx2, bitflow::simd::inl::TileAcc8Avx2)
-BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(avx2_t16, OpsAvx2, bitflow::simd::inl::TileAcc16Avx2)
-BITFLOW_INSTANTIATE_BGEMM_TILED(avx2_t4, OpsAvx2, bitflow::simd::inl::TileAcc4Scalar)
-BITFLOW_INSTANTIATE_BGEMM_TILED(avx2_t8, OpsAvx2, bitflow::simd::inl::TileAcc8Avx2)
-BITFLOW_INSTANTIATE_BGEMM_TILED(avx2_t16, OpsAvx2, bitflow::simd::inl::TileAcc16Avx2)
+namespace bitflow::kernels {
+// Tile widths: scalar 4-chain, vector 8 and 16.
+constinit const KernelTable kernel_table_avx2 =
+    impl::make_kernel_table<OpsAvx2, simd::inl::TileAcc4Scalar,
+                            simd::inl::TileAcc8Avx2,
+                            simd::inl::TileAcc16Avx2>();
+}  // namespace bitflow::kernels

@@ -1,7 +1,6 @@
 // PressedConv, AVX-512 kernel without VPOPCNTDQ (byte-LUT popcount): the
 // portable AVX-512 path for CPUs like Skylake-SP.
-#include "kernels/bgemm_impl.hpp"
-#include "kernels/pressedconv_impl.hpp"
+#include "kernels/kernel_table_impl.hpp"
 #include "simd/bitops_inline.hpp"
 #include "simd/bitops_tile.hpp"
 
@@ -14,17 +13,11 @@ struct OpsAvx512Lut {
 };
 }  // namespace
 
-BITFLOW_INSTANTIATE_PRESSEDCONV(avx512, OpsAvx512Lut)
-BITFLOW_INSTANTIATE_BGEMM(avx512, OpsAvx512Lut)
-
-// Auto-tuner tile-width candidates: scalar 4-chain, one or two 512-bit
-// accumulators (popcount lowers to the byte-LUT in this TU's -m flags).
-BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(avx512_t4, OpsAvx512Lut,
-                                      bitflow::simd::inl::TileAcc4Scalar)
-BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(avx512_t8, OpsAvx512Lut,
-                                      bitflow::simd::inl::TileAcc8Avx512)
-BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(avx512_t16, OpsAvx512Lut,
-                                      bitflow::simd::inl::TileAcc16Avx512)
-BITFLOW_INSTANTIATE_BGEMM_TILED(avx512_t4, OpsAvx512Lut, bitflow::simd::inl::TileAcc4Scalar)
-BITFLOW_INSTANTIATE_BGEMM_TILED(avx512_t8, OpsAvx512Lut, bitflow::simd::inl::TileAcc8Avx512)
-BITFLOW_INSTANTIATE_BGEMM_TILED(avx512_t16, OpsAvx512Lut, bitflow::simd::inl::TileAcc16Avx512)
+namespace bitflow::kernels {
+// Tile widths: scalar 4-chain, one or two 512-bit accumulators (popcount
+// lowers to the byte-LUT in this TU's -m flags).
+constinit const KernelTable kernel_table_avx512 =
+    impl::make_kernel_table<OpsAvx512Lut, simd::inl::TileAcc4Scalar,
+                            simd::inl::TileAcc8Avx512,
+                            simd::inl::TileAcc16Avx512>();
+}  // namespace bitflow::kernels

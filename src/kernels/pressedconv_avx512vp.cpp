@@ -1,8 +1,7 @@
 // PressedConv, AVX-512 kernel with native VPOPCNTDQ (Table I
 // _mm512_popcnt_epi64 / maskz forms) — the paper's Xeon Phi path.
 // Scheduler rule 1: channel dimension a multiple of 512 (VGG conv5.1).
-#include "kernels/bgemm_impl.hpp"
-#include "kernels/pressedconv_impl.hpp"
+#include "kernels/kernel_table_impl.hpp"
 #include "simd/bitops_inline.hpp"
 #include "simd/bitops_tile.hpp"
 
@@ -15,19 +14,12 @@ struct OpsAvx512Vp {
 };
 }  // namespace
 
-BITFLOW_INSTANTIATE_PRESSEDCONV(avx512vp, OpsAvx512Vp)
-BITFLOW_INSTANTIATE_BGEMM(avx512vp, OpsAvx512Vp)
-
-// Auto-tuner tile-width candidates; the TileAcc*Avx512 popcount_epi64_512
-// lowers to native VPOPCNTDQ in this TU's -m flags — same structs as the
-// LUT TU, different instruction selection.
-BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(avx512vp_t4, OpsAvx512Vp,
-                                      bitflow::simd::inl::TileAcc4Scalar)
-BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(avx512vp_t8, OpsAvx512Vp,
-                                      bitflow::simd::inl::TileAcc8Avx512)
-BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(avx512vp_t16, OpsAvx512Vp,
-                                      bitflow::simd::inl::TileAcc16Avx512)
-BITFLOW_INSTANTIATE_BGEMM_TILED(avx512vp_t4, OpsAvx512Vp, bitflow::simd::inl::TileAcc4Scalar)
-BITFLOW_INSTANTIATE_BGEMM_TILED(avx512vp_t8, OpsAvx512Vp, bitflow::simd::inl::TileAcc8Avx512)
-BITFLOW_INSTANTIATE_BGEMM_TILED(avx512vp_t16, OpsAvx512Vp,
-                                bitflow::simd::inl::TileAcc16Avx512)
+namespace bitflow::kernels {
+// Tile widths: the TileAcc*Avx512 popcount_epi64_512 lowers to native
+// VPOPCNTDQ in this TU's -m flags — same structs as the LUT TU, different
+// instruction selection.
+constinit const KernelTable kernel_table_avx512vp =
+    impl::make_kernel_table<OpsAvx512Vp, simd::inl::TileAcc4Scalar,
+                            simd::inl::TileAcc8Avx512,
+                            simd::inl::TileAcc16Avx512>();
+}  // namespace bitflow::kernels

@@ -1,9 +1,10 @@
 // Generic PressedConv inner loops, templated over an ISA policy.
 //
-// Included only by the per-ISA kernel TUs (pressedconv_<isa>.cpp); each TU
-// instantiates the templates with a policy whose xor_popcount resolves to
-// the inline primitive of that TU's enabled ISA, so the word loop inlines
-// into the spatial loops with no function-call overhead.
+// Included only by the per-ISA kernel TUs (pressedconv_<isa>.cpp, through
+// kernel_table_impl.hpp); each TU instantiates the templates with a policy
+// whose xor_popcount resolves to the inline primitive of that TU's enabled
+// ISA, so the word loop inlines into the spatial loops with no function-call
+// overhead.
 //
 // Loop structure (paper Alg. 1):
 //   multi-core  : fused b*y*x output range, static blocks     (parallel_for)
@@ -388,7 +389,7 @@ void conv_binarize_folded_batch(const PackedTensor* const* in, std::int64_t n,
 // take the word-run path of the untiled kernel.
 //
 // Tile is an explicit template parameter (not Ops::Tile) so each per-ISA TU
-// can stamp one entry point per supported width — the auto-tuner's T axis.
+// can fill one KernelTable slot per supported width — the auto-tuner's T axis.
 
 template <typename Ops, typename Tile>
 void conv_dot_tiled_batch_impl(const PackedTensor* const* in, std::int64_t n,
@@ -544,39 +545,3 @@ void conv_binarize_tiled_batch_impl(const PackedTensor* const* in, std::int64_t 
 
 }  // namespace
 }  // namespace bitflow::kernels::impl
-
-/// Stamps out the filter-major batch entry points for one ISA policy.  Used
-/// by each per-ISA TU after defining `Ops`.
-#define BITFLOW_INSTANTIATE_PRESSEDCONV(SUFFIX, OPS)                                            \
-  namespace bitflow::kernels::detail {                                                          \
-  void conv_dot_batch_##SUFFIX(const PackedTensor* const* in, std::int64_t n,                   \
-                               const PackedFilterBank& filters, const ConvSpec& spec,           \
-                               runtime::ThreadPool& pool, Tensor* const* out) {                 \
-    impl::conv_dot_batch_impl<OPS>(in, n, filters, spec, pool, out);                            \
-  }                                                                                             \
-  void conv_binarize_batch_##SUFFIX(const PackedTensor* const* in, std::int64_t n,              \
-                                    const PackedFilterBank& filters, const ConvSpec& spec,      \
-                                    const float* thresholds, runtime::ThreadPool& pool,         \
-                                    PackedTensor* const* out, std::int64_t margin) {            \
-    impl::conv_binarize_batch_impl<OPS>(in, n, filters, spec, thresholds, pool, out, margin);   \
-  }                                                                                             \
-  }  // namespace bitflow::kernels::detail
-
-/// Stamps out the register-tiled entry points for one (ISA policy, tile
-/// accumulator) pair.  A TU invokes this once per tile width it supports;
-/// SUFFIX conventionally appends the width, e.g. avx2_t8.
-#define BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(SUFFIX, OPS, TILE)                                \
-  namespace bitflow::kernels::detail {                                                          \
-  void conv_dot_tiled_batch_##SUFFIX(const PackedTensor* const* in, std::int64_t n,             \
-                                     const TiledFilterBank& filters, const ConvSpec& spec,      \
-                                     runtime::ThreadPool& pool, Tensor* const* out) {           \
-    impl::conv_dot_tiled_batch_impl<OPS, TILE>(in, n, filters, spec, pool, out);                \
-  }                                                                                             \
-  void conv_binarize_tiled_batch_##SUFFIX(                                                      \
-      const PackedTensor* const* in, std::int64_t n, const TiledFilterBank& filters,            \
-      const ConvSpec& spec, const float* thresholds, runtime::ThreadPool& pool,                 \
-      PackedTensor* const* out, std::int64_t margin) {                                          \
-    impl::conv_binarize_tiled_batch_impl<OPS, TILE>(in, n, filters, spec, thresholds, pool,     \
-                                                    out, margin);                               \
-  }                                                                                             \
-  }  // namespace bitflow::kernels::detail

@@ -1,7 +1,6 @@
 // PressedConv, scalar 64-bit kernel (scheduler rule 4: channel dimension a
 // multiple of 32/64 only — e.g. VGG conv2.1 with C = 64).
-#include "kernels/bgemm_impl.hpp"
-#include "kernels/pressedconv_impl.hpp"
+#include "kernels/kernel_table_impl.hpp"
 #include "simd/bitops_inline.hpp"
 #include "simd/bitops_tile.hpp"
 
@@ -14,11 +13,8 @@ struct OpsU64 {
 };
 }  // namespace
 
-BITFLOW_INSTANTIATE_PRESSEDCONV(u64, OpsU64)
-BITFLOW_INSTANTIATE_BGEMM(u64, OpsU64)
-
-// Auto-tuner tile-width candidates: 4 and 8 independent popcnt chains.
-BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(u64_t4, OpsU64, bitflow::simd::inl::TileAcc4Scalar)
-BITFLOW_INSTANTIATE_PRESSEDCONV_TILED(u64_t8, OpsU64, bitflow::simd::inl::TileAcc8Scalar)
-BITFLOW_INSTANTIATE_BGEMM_TILED(u64_t4, OpsU64, bitflow::simd::inl::TileAcc4Scalar)
-BITFLOW_INSTANTIATE_BGEMM_TILED(u64_t8, OpsU64, bitflow::simd::inl::TileAcc8Scalar)
+namespace bitflow::kernels {
+// Tile widths 4 and 8: independent popcnt chains.
+constinit const KernelTable kernel_table_u64 =
+    impl::make_kernel_table<OpsU64, simd::inl::TileAcc4Scalar, simd::inl::TileAcc8Scalar>();
+}  // namespace bitflow::kernels

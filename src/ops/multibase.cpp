@@ -77,7 +77,7 @@ MultiBaseConvOp::MultiBaseConvOp(const FilterBank& weights, int num_bases, std::
       isa_(options.force_isa.has_value()
                ? *options.force_isa
                : graph::select_isa(weights.channels(), simd::cpu_features(), options.policy)),
-      dot_fn_(kernels::conv_dot_batch_kernel(isa_)) {
+      dot_fn_(kernels::conv_dot_batch_kernel(isa_, simd::cpu_features().avx512vpopcntdq)) {
   if (pad < 0) throw std::invalid_argument("MultiBaseConvOp: negative pad");
 }
 

@@ -24,8 +24,8 @@ BinaryConvOp::BinaryConvOp(FilterBank weights, std::int64_t stride, std::int64_t
       pad_(pad),
       filters_(bitpack::pack_filters(weights)),
       isa_(pick_isa(weights.channels(), options)),
-      dot_fn_(kernels::conv_dot_batch_kernel(isa_)),
-      bin_fn_(kernels::conv_binarize_batch_kernel(isa_)) {
+      dot_fn_(kernels::conv_dot_batch_kernel(isa_, simd::cpu_features().avx512vpopcntdq)),
+      bin_fn_(kernels::conv_binarize_batch_kernel(isa_, simd::cpu_features().avx512vpopcntdq)) {
   if (pad < 0) throw std::invalid_argument("BinaryConvOp: negative pad");
 }
 
@@ -63,7 +63,7 @@ BinaryFcOp::BinaryFcOp(const float* w, std::int64_t n, std::int64_t k, BinaryOpO
     : n_(n),
       weights_(bitpack::pack_transpose_fc_weights(w, n, k)),
       isa_(pick_isa(n, options)),
-      dot_fn_(kernels::bgemm_rows_kernel(isa_)),
+      dot_fn_(kernels::bgemm_rows_kernel(isa_, simd::cpu_features().avx512vpopcntdq)),
       x_buf_(1, n) {}
 
 void BinaryFcOp::run(const float* x, runtime::ThreadPool& pool, float* y) {

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,7 +62,6 @@ struct FlightState {
   core::Mutex mu;
   bool armed BF_GUARDED_BY(mu) = false;
   bool owns_trace BF_GUARDED_BY(mu) = false;
-  bool signals_installed BF_GUARDED_BY(mu) = false;
   bool have_attempt BF_GUARDED_BY(mu) = false;
   std::chrono::steady_clock::time_point last_attempt BF_GUARDED_BY(mu){};
   std::uint64_t bundle_seq BF_GUARDED_BY(mu) = 0;  // never reset: unique names
@@ -78,7 +76,7 @@ struct FlightState {
 };
 
 FlightState& fstate() {
-  static FlightState* s = new FlightState();  // leaked: usable from atexit/signal paths
+  static FlightState* s = new FlightState();  // leaked: usable from atexit paths
   return *s;
 }
 
@@ -199,16 +197,6 @@ bool write_bundle_locked(FlightState& st, const Active& active, std::uint64_t se
   return true;
 }
 
-extern "C" void bitflow_fatal_signal_handler(int sig) {
-  // Best-effort by design (documented in FlightRecorderConfig): bundle
-  // writing is not async-signal-safe, but on a fatal signal the process is
-  // lost either way and the bundle is the only evidence that survives.
-  const char* which = sig == SIGSEGV ? "SIGSEGV" : sig == SIGBUS ? "SIGBUS" : "SIGABRT";
-  flight_trigger(FlightTrigger::kFatalSignal, which);
-  std::signal(sig, SIG_DFL);
-  std::raise(sig);
-}
-
 /// BITFLOW_FLIGHT_DIR=<dir>: arm the recorder (default thresholds) before
 /// main(), mirroring BITFLOW_TRACE.
 const bool g_flight_env_applied = [] {
@@ -236,16 +224,6 @@ void flight_start(FlightRecorderConfig cfg) {
   const bool trace_was_on = trace_enabled();
   trace_arm_passive(cfg.trace_ring_capacity);
   st.owns_trace = !trace_was_on;
-  if (cfg.install_signal_handler && !st.signals_installed) {
-    for (int sig : {SIGSEGV, SIGBUS, SIGABRT}) {
-      struct sigaction sa = {};
-      sa.sa_handler = &bitflow_fatal_signal_handler;
-      sigemptyset(&sa.sa_mask);
-      sa.sa_flags = SA_RESETHAND;
-      ::sigaction(sig, &sa, nullptr);
-    }
-    st.signals_installed = true;
-  }
   auto* fresh = new Active(std::move(cfg));
   if (Active* old = g_active.load(std::memory_order_relaxed)) {
     st.retired.push_back(old);  // never freed — see decl and retired's comment

@@ -10,8 +10,8 @@
 // category "flight" in the same rings.  A breadcrumb therefore lives as long
 // as its thread's last `trace_ring_capacity` records.  When a trigger fires
 // — the SLO-breach detector over observed outcomes, a worker quarantine,
-// the serve error-rate detector, a fatal signal (opt-in), or a manual
-// request — it snapshots a **diagnostic bundle** to disk:
+// the serve error-rate detector, or a manual request — it snapshots a
+// **diagnostic bundle** to disk:
 //
 //   <dir>/bundle-000001/
 //     MANIFEST.json   version, trigger, reason, per-section size + FNV-1a
@@ -28,8 +28,7 @@
 // Breadcrumb hot path: `flight_event()` is the trace sink's ONE relaxed
 // atomic load when tracing is disarmed (CI-gated at <= 5 ns,
 // BENCH_telemetry.json).  Armed, it writes one slot of the calling thread's
-// ring — no mutex, so it is safe from any thread including (best-effort) a
-// fatal signal handler.
+// ring — no mutex, so it is safe from any thread.
 //
 // Environment: BITFLOW_FLIGHT_DIR=<dir> arms the recorder (and passive
 // tracing) at static init with default thresholds — no code changes needed.
@@ -64,7 +63,6 @@ enum class FlightTrigger : std::uint8_t {
   kSloBreach,    ///< deadline-breach detector tripped (flight_observe_outcome)
   kErrorRate,    ///< windowed error-rate detector tripped
   kQuarantine,   ///< a worker circuit breaker quarantined
-  kFatalSignal,  ///< SIGSEGV/SIGABRT/SIGBUS (only if installed; best-effort)
   kManual,       ///< explicit flight_trigger() call (tools, tests)
 };
 
@@ -73,7 +71,6 @@ enum class FlightTrigger : std::uint8_t {
     case FlightTrigger::kSloBreach: return "slo_breach";
     case FlightTrigger::kErrorRate: return "error_rate";
     case FlightTrigger::kQuarantine: return "quarantine";
-    case FlightTrigger::kFatalSignal: return "fatal_signal";
     case FlightTrigger::kManual: return "manual";
   }
   return "?";
@@ -96,11 +93,6 @@ struct FlightRecorderConfig {
   /// outcomes, an error fraction >= `error_rate_threshold` triggers.
   std::size_t rate_window = 64;
   double error_rate_threshold = 0.5;
-  /// Install SIGSEGV/SIGABRT/SIGBUS handlers that attempt a bundle before
-  /// re-raising.  Best-effort (bundle writing is not async-signal-safe);
-  /// default off — opt in for long-lived servers where a crash bundle is
-  /// worth more than handler purity.
-  bool install_signal_handler = false;
 };
 
 /// Arms the recorder: arms passive tracing, resets the detectors and the

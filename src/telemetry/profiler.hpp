@@ -40,9 +40,7 @@ class SpanStats {
   /// (e.g. images in a fused batch).  Wait-free except the min update, which
   /// is a bounded CAS loop that almost always exits on the first compare.
   void record(std::uint64_t ns, std::uint64_t units = 1) noexcept {
-    count_.fetch_add(1, std::memory_order_relaxed);
     units_.fetch_add(units, std::memory_order_relaxed);
-    total_ns_.fetch_add(ns, std::memory_order_relaxed);
     std::uint64_t cur = min_ns_.load(std::memory_order_relaxed);
     while (ns < cur &&
            !min_ns_.compare_exchange_weak(cur, ns, std::memory_order_relaxed)) {
@@ -52,9 +50,7 @@ class SpanStats {
 
   void reset() noexcept {
     // Not atomic with concurrent record(); callers quiesce writers first.
-    count_.store(0, std::memory_order_relaxed);
     units_.store(0, std::memory_order_relaxed);
-    total_ns_.store(0, std::memory_order_relaxed);
     min_ns_.store(UINT64_MAX, std::memory_order_relaxed);
     hist_.reset();
   }
@@ -72,12 +68,13 @@ class SpanStats {
   };
   [[nodiscard]] View view() const {
     View v;
-    v.count = count_.load(std::memory_order_relaxed);
+    // count, total and the quantiles come from one histogram snapshot.
+    const Histogram::Snapshot h = hist_.snapshot();
+    v.count = h.count;
+    v.total_ns = h.sum;
     v.units = units_.load(std::memory_order_relaxed);
-    v.total_ns = total_ns_.load(std::memory_order_relaxed);
     const std::uint64_t mn = min_ns_.load(std::memory_order_relaxed);
     v.min_ns = mn == UINT64_MAX ? 0 : mn;
-    const Histogram::Snapshot h = hist_.snapshot();
     v.p50_ns = h.quantile_upper(0.50);
     v.p99_ns = h.quantile_upper(0.99);
     return v;
@@ -88,11 +85,9 @@ class SpanStats {
   // view() as individually consistent samples; no cross-field cut is
   // promised (same contract as Histogram).  min_ns_'s CAS loop is relaxed
   // too: the comparison only needs the value, not any ordering.
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> units_{0};
-  std::atomic<std::uint64_t> total_ns_{0};
   std::atomic<std::uint64_t> min_ns_{UINT64_MAX};
-  Histogram hist_;  // log2 ns buckets
+  Histogram hist_;  // log2 ns buckets; also holds the sample count and total
 };
 
 /// Measured compute roof for binary kernels at `isa`: xor+popcount GOPS over

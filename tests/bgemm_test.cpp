@@ -25,7 +25,7 @@ TEST_P(BgemmParam, MatchesDecodedReference) {
   fill_random_bits(w, static_cast<std::uint64_t>(k * 13));
   runtime::ThreadPool pool(2);
   std::vector<float> y(static_cast<std::size_t>(k));
-  bgemm_rows_kernel(isa)(a, a.rows(), w, pool, y.data());
+  bgemm_rows_kernel(isa, simd::cpu_features().avx512vpopcntdq)(a, a.rows(), w, pool, y.data());
   for (std::int64_t j = 0; j < k; ++j) {
     const std::int64_t ref = testing::reference_binary_dot(a, 0, w, j);
     ASSERT_EQ(static_cast<std::int64_t>(y[static_cast<std::size_t>(j)]), ref)
@@ -114,11 +114,12 @@ TEST(Bgemm, AllIsaVariantsAgree) {
   fill_random_bits(w, 52);
   runtime::ThreadPool pool(1);
   std::vector<float> base(static_cast<std::size_t>(k));
-  bgemm_rows_kernel(IsaLevel::kU64)(a, a.rows(), w, pool, base.data());
+  const bool vp = simd::cpu_features().avx512vpopcntdq;
+  bgemm_rows_kernel(IsaLevel::kU64, vp)(a, a.rows(), w, pool, base.data());
   for (IsaLevel isa : {IsaLevel::kSse, IsaLevel::kAvx2, IsaLevel::kAvx512}) {
     if (!simd::cpu_features().supports(isa)) continue;
     std::vector<float> y(static_cast<std::size_t>(k));
-    bgemm_rows_kernel(isa)(a, a.rows(), w, pool, y.data());
+    bgemm_rows_kernel(isa, vp)(a, a.rows(), w, pool, y.data());
     EXPECT_EQ(y, base) << simd::isa_name(isa);
   }
 }

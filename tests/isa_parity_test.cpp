@@ -507,7 +507,8 @@ TEST(IsaParity, PressedConvTiledDotMatchesUntiledAllVariants) {
         for (Tensor& t : ref) ref_ptrs.push_back(&t);
         kernels::conv_dot_batch_kernel(v.isa, v.use_vpopcntdq)(in_ptrs.data(), n, filters,
                                                                spec, pool, ref_ptrs.data());
-        kernels::conv_dot_tiled_batch_kernel(v.isa, v.use_vpopcntdq)(
+        kernels::conv_dot_tiled_batch_kernel(v.isa, v.use_vpopcntdq,
+                                             kernels::weight_tile_width(v.isa))(
             in_ptrs.data(), n, tiled, spec, pool, out_ptrs.data());
         for (std::int64_t b = 0; b < n; ++b) {
           ASSERT_EQ(max_abs_diff(out[static_cast<std::size_t>(b)],
@@ -558,7 +559,8 @@ TEST(IsaParity, PressedConvTiledBinarizeMatchesUntiledAllVariants) {
       kernels::conv_binarize_batch_kernel(v.isa, v.use_vpopcntdq)(
           in_ptrs.data(), n, filters, spec, thresholds.data(), pool, ref_ptrs.data(),
           s.margin);
-      kernels::conv_binarize_tiled_batch_kernel(v.isa, v.use_vpopcntdq)(
+      kernels::conv_binarize_tiled_batch_kernel(v.isa, v.use_vpopcntdq,
+                                                kernels::weight_tile_width(v.isa))(
           in_ptrs.data(), n, tiled, spec, thresholds.data(), pool, out_ptrs.data(), s.margin);
       for (std::int64_t b = 0; b < n; ++b) {
         for (std::int64_t i = 0; i < ref[static_cast<std::size_t>(b)].num_words(); ++i) {
@@ -945,10 +947,59 @@ TEST(IsaParity, TiledKernelRejectsMismatchedTileWidth) {
     const std::int64_t right = kernels::weight_tile_width(v.isa);
     const std::int64_t wrong = right == 4 ? 8 : 4;
     const TiledFilterBank bad = bitpack::tile_filters(filters, wrong);
-    EXPECT_THROW(kernels::conv_dot_tiled_batch_kernel(v.isa, v.use_vpopcntdq)(
+    EXPECT_THROW(kernels::conv_dot_tiled_batch_kernel(v.isa, v.use_vpopcntdq, right)(
                      &in_ptr, 1, bad, spec, pool, &out_ptr),
                  std::invalid_argument)
         << "variant " << v.name;
+  }
+}
+
+// The tile-parameterized getters are the only way the tuner and the graph
+// reach a tiled kernel: a width the variant stamps must come back non-null,
+// and any other width must throw rather than fall back to some other kernel.
+TEST(IsaParity, TiledGettersReturnExactlyTheStampedWidths) {
+  std::vector<std::int64_t> tiles;
+  for (std::int64_t t = 0; t <= 17; ++t) tiles.push_back(t);
+  tiles.push_back(32);
+  for (const IsaVariant& v : simd::supported_isa_variants()) {
+    const kernels::TileWidthSet widths = kernels::supported_tile_widths(v.isa);
+    const bool wide = v.isa >= IsaLevel::kAvx2;
+    EXPECT_EQ(widths.count, wide ? 3 : 2) << "variant " << v.name;
+    EXPECT_TRUE(widths.contains(4)) << "variant " << v.name;
+    EXPECT_TRUE(widths.contains(8)) << "variant " << v.name;
+    EXPECT_EQ(widths.contains(16), wide) << "variant " << v.name;
+    EXPECT_TRUE(widths.contains(kernels::weight_tile_width(v.isa))) << "variant " << v.name;
+    for (const std::int64_t tile : tiles) {
+      const std::string where = std::string("variant ") + std::string(v.name) + " tile " +
+                                std::to_string(tile);
+      if (widths.contains(tile)) {
+        EXPECT_NE(kernels::conv_dot_tiled_batch_kernel(v.isa, v.use_vpopcntdq, tile), nullptr)
+            << where;
+        EXPECT_NE(kernels::conv_binarize_tiled_batch_kernel(v.isa, v.use_vpopcntdq, tile),
+                  nullptr)
+            << where;
+        EXPECT_NE(kernels::bgemm_rows_tiled_kernel(v.isa, v.use_vpopcntdq, tile), nullptr)
+            << where;
+        EXPECT_NE(kernels::bgemm_binarize_rows_tiled_kernel(v.isa, v.use_vpopcntdq, tile),
+                  nullptr)
+            << where;
+      } else {
+        EXPECT_THROW((void)kernels::conv_dot_tiled_batch_kernel(v.isa, v.use_vpopcntdq, tile),
+                     std::invalid_argument)
+            << where;
+        EXPECT_THROW(
+            (void)kernels::conv_binarize_tiled_batch_kernel(v.isa, v.use_vpopcntdq, tile),
+            std::invalid_argument)
+            << where;
+        EXPECT_THROW((void)kernels::bgemm_rows_tiled_kernel(v.isa, v.use_vpopcntdq, tile),
+                     std::invalid_argument)
+            << where;
+        EXPECT_THROW(
+            (void)kernels::bgemm_binarize_rows_tiled_kernel(v.isa, v.use_vpopcntdq, tile),
+            std::invalid_argument)
+            << where;
+      }
+    }
   }
 }
 
@@ -968,7 +1019,8 @@ TEST(IsaParity, BgemmTiledRowsMatchesUntiledAllVariants) {
     for (const IsaVariant& v : variants) {
       const TiledBitMatrix tiled = bitpack::tile_fc_weights(w, kernels::weight_tile_width(v.isa));
       std::vector<float> y(static_cast<std::size_t>(s.m * s.k), -777.0f);
-      kernels::bgemm_rows_tiled_kernel(v.isa, v.use_vpopcntdq)(a, s.m, tiled, pool, y.data());
+      kernels::bgemm_rows_tiled_kernel(v.isa, v.use_vpopcntdq, kernels::weight_tile_width(v.isa))(
+          a, s.m, tiled, pool, y.data());
       for (std::int64_t i = 0; i < s.m * s.k; ++i) {
         ASSERT_EQ(y[static_cast<std::size_t>(i)], ref[static_cast<std::size_t>(i)])
             << "kernel bgemm_rows_tiled[" << v.name << "] diverges at element " << i
@@ -998,7 +1050,8 @@ TEST(IsaParity, BgemmTiledBinarizeRowsMatchesUntiledAllVariants) {
     for (const IsaVariant& v : variants) {
       const TiledBitMatrix tiled = bitpack::tile_fc_weights(w, kernels::weight_tile_width(v.isa));
       PackedMatrix out(rows, s.k);
-      kernels::bgemm_binarize_rows_tiled_kernel(v.isa, v.use_vpopcntdq)(
+      kernels::bgemm_binarize_rows_tiled_kernel(v.isa, v.use_vpopcntdq,
+                                                kernels::weight_tile_width(v.isa))(
           a, s.m, tiled, thresholds.data(), pool, out);
       const std::int64_t words_per_row = out.num_words() / rows;
       for (std::int64_t i = 0; i < s.m * words_per_row; ++i) {

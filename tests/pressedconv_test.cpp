@@ -33,7 +33,8 @@ TEST_P(PressedConvParam, DotMatchesReference) {
   const ConvSpec spec{cs.kernel, cs.kernel, cs.stride};
   runtime::ThreadPool pool(2);
   Tensor out = Tensor::hwc(spec.out_h(cs.h), spec.out_w(cs.w), cs.k);
-  testing::conv_dot_one(conv_dot_batch_kernel(isa), in, filters, spec, pool, out);
+  testing::conv_dot_one(conv_dot_batch_kernel(isa, simd::cpu_features().avx512vpopcntdq), in,
+                        filters, spec, pool, out);
   const Tensor ref = testing::reference_binary_conv(in, filters, spec);
   EXPECT_EQ(max_abs_diff(out, ref), 0.0f)
       << "isa=" << simd::isa_name(isa) << " h=" << cs.h << " c=" << cs.c;
@@ -50,10 +51,11 @@ TEST_P(PressedConvParam, BinarizeMatchesDotAcrossIsa) {
   runtime::ThreadPool pool(2);
   const std::int64_t oh = spec.out_h(cs.h), ow = spec.out_w(cs.w);
   Tensor dots = Tensor::hwc(oh, ow, cs.k);
-  testing::conv_dot_one(conv_dot_batch_kernel(isa), in, filters, spec, pool, dots);
+  const bool vp = simd::cpu_features().avx512vpopcntdq;
+  testing::conv_dot_one(conv_dot_batch_kernel(isa, vp), in, filters, spec, pool, dots);
   PackedTensor out(oh, ow, cs.k);
-  testing::conv_binarize_one(conv_binarize_batch_kernel(isa), in, filters, spec, nullptr, pool,
-                             out, 0);
+  testing::conv_binarize_one(conv_binarize_batch_kernel(isa, vp), in, filters, spec, nullptr,
+                             pool, out, 0);
   for (std::int64_t y = 0; y < oh; ++y) {
     for (std::int64_t x = 0; x < ow; ++x) {
       for (std::int64_t k = 0; k < cs.k; ++k) {
@@ -99,11 +101,13 @@ TEST(PressedConv, AllIsaVariantsAgree) {
   const ConvSpec spec{3, 3, 1};
   runtime::ThreadPool pool(1);
   Tensor base = Tensor::hwc(6, 6, 16);
-  testing::conv_dot_one(conv_dot_batch_kernel(simd::IsaLevel::kU64), in, filters, spec, pool, base);
+  const bool vp = simd::cpu_features().avx512vpopcntdq;
+  testing::conv_dot_one(conv_dot_batch_kernel(simd::IsaLevel::kU64, vp), in, filters, spec, pool,
+                        base);
   for (IsaLevel isa : {IsaLevel::kSse, IsaLevel::kAvx2, IsaLevel::kAvx512}) {
     if (!simd::cpu_features().supports(isa)) continue;
     Tensor out = Tensor::hwc(6, 6, 16);
-    testing::conv_dot_one(conv_dot_batch_kernel(isa), in, filters, spec, pool, out);
+    testing::conv_dot_one(conv_dot_batch_kernel(isa, vp), in, filters, spec, pool, out);
     EXPECT_EQ(max_abs_diff(base, out), 0.0f) << simd::isa_name(isa);
   }
 }
